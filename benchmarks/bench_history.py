@@ -32,8 +32,10 @@ import os
 import sys
 
 #: Channels whose normalized aggregate throughput is tracked, in
-#: render order.  Older history lines simply lack the newer channels.
-CHANNELS = ("serial", "blocks", "event_kernel")
+#: render order.  Older history lines may carry retired channels
+#: (the three engine-layer channels of schema v3-v6); rendering
+#: ignores them.
+CHANNELS = ("serial",)
 
 
 def history_entry(report, sha=None):
@@ -50,10 +52,6 @@ def history_entry(report, sha=None):
             entry[channel] = report[channel]["aggregate_ips"] / index
     if "efficiency" in report:
         entry["efficiency"] = report["efficiency"]["ratio"]
-    if "gridbatch" in report:
-        # The lockstep/per-cell speedup is a same-process ratio, so it
-        # needs no machine-index normalization.
-        entry["gridbatch"] = report["gridbatch"]["speedup"]
     if "estimator" in report:
         entry["estimator_mae"] = report["estimator"]["mean_mae"]
     if "fabric" in report:
@@ -102,8 +100,8 @@ def render_markdown(entries, last=20):
         "",
         "| run | sha | "
         + " | ".join(CHANNELS)
-        + " | efficiency | gridbatch | est. MAE | fabric |",
-        "|---:|---|" + "---:|" * (len(CHANNELS) + 4),
+        + " | efficiency | est. MAE | fabric |",
+        "|---:|---|" + "---:|" * (len(CHANNELS) + 3),
     ]
     first_run = len(entries) - len(window) + 1
     for offset, entry in enumerate(window):
@@ -113,8 +111,6 @@ def render_markdown(entries, last=20):
             cells.append("{:.6f}".format(value) if value is not None else "—")
         ratio = entry.get("efficiency")
         cells.append("{:.2f}x".format(ratio) if ratio is not None else "—")
-        grid = entry.get("gridbatch")
-        cells.append("{:.2f}x".format(grid) if grid is not None else "—")
         mae = entry.get("estimator_mae")
         cells.append("{:.1f}".format(mae) if mae is not None else "—")
         fabric = entry.get("fabric")

@@ -2,12 +2,9 @@
 """Timing-kernel throughput benchmark and regression gate.
 
 Measures committed-instructions/sec of the PolyFlow cycle-level kernel
-on the gzip/mcf/vortex trio — serially with the block engine off (the
-PR3 fast-path baseline), serially with the block engine on (the
-``blocks`` channel), with the event-calendar time-skip kernel on top of
-the block engine (the ``event_kernel`` channel), end-to-end under a
-``--jobs 4`` grid-scheduler fan-out, and on the fully warm result-cache
-replay path — and emits the results as ``BENCH_polyflow.json``.  The
+on the gzip/mcf/vortex trio — serially on the fused fast loop (the
+``serial`` channel), end-to-end under a ``--jobs 4`` grid-scheduler
+fan-out, and on the fully warm result-cache replay path — and emits the results as ``BENCH_polyflow.json``.  The
 checked-in copy of that file at the repository root is the performance
 baseline: CI re-runs this harness with ``--check BENCH_polyflow.json``
 and fails when throughput regresses more than the gate tolerance
@@ -19,41 +16,9 @@ The gates run under ``--check``:
   the current schema produces; a baseline regenerated under an older
   schema fails with a message naming the missing channel rather than a
   ``KeyError`` deep inside a comparison;
-* the **throughput gate** — normalized serial/blocks/event-kernel/
-  jobs4/cache-hit throughput must not trail the reference by more than
+* the **throughput gate** — normalized serial/jobs4/cache-hit/fabric
+  throughput must not trail the reference by more than
   ``--tolerance``;
-* the **block-engine gate** — the ``blocks`` channel's per-workload
-  speedup over the serial (engine-off) channel must not fall below its
-  *per-workload* floor (see ``DEFAULT_BLOCKS_FLOORS``).  The floors
-  are set to what the cycle-exact kernel actually achieves per
-  workload, not the ISSUE's aspirational 2x or a one-size 0.85:
-  block-at-a-time batching removes scheduler bookkeeping but every
-  instruction still retires through the exact per-cycle model, and how
-  much bookkeeping there is to remove varies by workload — mcf's
-  pointer-chasing spends its cycles in the memory hierarchy, which the
-  block path cannot elide, so its honest floor sits below gzip's and
-  far below vortex's (see EXPERIMENTS.md);
-* the **event-kernel gate** — same shape for the ``event_kernel``
-  channel against ``DEFAULT_EVENT_KERNEL_FLOORS`` (per-workload floors
-  below the ISSUE's 2x target: >85% of simulated cycles have a
-  calendar event due, so there is little idle time for the calendar to
-  skip, and on some machines the calendar's heap overhead makes the
-  channel a small net loss on gzip/mcf);
-* the **grid-batch gate** — ``gridbatch.run_batch`` must produce
-  byte-identical stats to the per-cell path on a 50-cell synth grid,
-  and its cells/sec must stay within ``DEFAULT_GRIDBATCH_FLOOR`` of
-  per-cell dispatch.  The floor is honest, not the ISSUE's
-  aspirational 2x: ~80% of in-process per-cell wall time is the
-  simulation kernel itself (``event_kernel_steps``), and the synth
-  catalog's traces are so short (~1k instructions) that the warm-up
-  replay batching amortizes is itself only ~0.1ms/cell — lockstep
-  measures parity (0.83-0.97x, machine noise) on this grid.  The
-  batch wins land elsewhere: warm-state sharing on long traces (the
-  gzip/mcf/vortex grid measures ~1.05x in-process, and mcf's ~14ms
-  replay is paid once per spec column instead of once per cell) and
-  the scheduler's chunk path, where one lockstep call replaces a
-  pickle round-trip per cell.  The gate's teeth are byte-identity
-  plus a no-pessimization floor (see EXPERIMENTS.md);
 * the **estimator gate** — the analytic estimator's mean
   absolute speedup error over a fixed stratified sample must stay
   under ``DEFAULT_ESTIMATOR_MAE_CEILING`` points, the estimate-first
@@ -95,28 +60,21 @@ import tempfile
 import time
 
 #: Schema version of the emitted JSON.  v2: jobs4 grew ``cpus``/``mode``,
-#: and reports carry ``cache_hit`` and ``efficiency`` sections.  v3:
-#: ``serial`` is measured with the block engine explicitly off (the PR3
-#: fast path) and reports carry a ``blocks`` section — the same trio
-#: with the block engine on, plus per-workload speedups over serial.
-#: v4: reports carry an ``event_kernel`` section — the trio on the
-#: event-calendar kernel (block engine + calendar time skip), with
-#: per-workload and aggregate speedups over serial; the ``serial`` and
-#: ``blocks`` channels pin ``event_kernel=False`` so they keep
-#: measuring the cycle-exact engines whatever the process default is.
-#: v5: reports carry a ``gridbatch`` section (lockstep batch runner
-#: cells/sec vs per-cell dispatch on a stratified synth grid, with a
-#: stats byte-identity check) and an ``estimator`` section (analytic
-#: estimator error plus estimate-first triage budget/certificate
-#: telemetry); the blocks/event-kernel gates moved from one generic
-#: floor to honest per-workload floors.
+#: and reports carry ``cache_hit`` and ``efficiency`` sections.  v3-v5
+#: added one section per optional engine layer (block engine, event
+#: kernel, grid-batch lockstep) and, in v5, the ``estimator`` section
+#: (analytic estimator error plus estimate-first triage
+#: budget/certificate telemetry).
 #: v6: reports carry a ``fabric`` section — a stratified synth sweep
 #: shipped to subprocess fabric workers with a shared artifact store,
 #: measured against the same sweep run serially, with a stats
 #: byte-identity check.  The speedup floor applies in multi-core mode
 #: only (two worker processes timesharing one core cannot beat serial);
 #: identity is gated in every mode.
-SCHEMA = 6
+#: v7: the three engine-layer sections are gone with the code they
+#: measured; ``serial`` times the fused loop, the only fast engine
+#: (the same engine the v3-v6 ``serial`` channel pinned).
+SCHEMA = 7
 
 #: The benchmark trio (chosen in the ISSUE: one branchy compressor, one
 #: pointer-chasing workload with violation squashes, one call-heavy OO
@@ -136,49 +94,6 @@ DEFAULT_EFFICIENCY_FLOOR = 1.2
 #: On a single core the pool is short-circuited; jobs4 overhead over
 #: the serial kernel must stay within this factor.
 SINGLE_CORE_EFFICIENCY_FLOOR = 0.8
-#: Per-workload floors for the blocks/serial speedup.  Measured across
-#: two machines (best-of-9, scale 0.5): gzip 1.06-1.07x, mcf
-#: 0.88-1.01x (pointer-chasing keeps it per-cycle-bound: the cycles go
-#: to memory-hierarchy latency lookups and squash replay, which
-#: block-at-a-time batching cannot elide), vortex 1.13-1.24x.  Each
-#: floor sits ~0.08 of noise headroom below that workload's worst
-#: measurement; the gate exists to catch the block path *losing* to
-#: per-instruction, not to certify a speedup the cycle-exact kernel
-#: cannot reach (the ISSUE's 2x target assumed scheduler bookkeeping
-#: dominated; it does not — see EXPERIMENTS.md).  Env
-#: ``BENCH_BLOCKS_FLOOR`` overrides all three with one uniform floor.
-DEFAULT_BLOCKS_FLOORS = {"gzip": 0.95, "mcf": 0.80, "vortex": 1.00}
-#: Per-workload floors for the event-kernel/serial speedup.  Measured
-#: across two machines (best-of-9, scale 0.5): gzip 0.90-1.15x, mcf
-#: 0.90-0.99x, vortex 0.97-1.22x.  The calendar's headline 2x target
-#: assumed skippable idle cycles; instrumentation shows the paper trio
-#: has a calendar event due on >85% of cycles (gzip: 7300 of 7324), so
-#: the kernel's wins come from batched plain-run issue and leaner
-#: queue rescans, not time skips — and on machines where heap
-#: operations are comparatively expensive the channel is a small net
-#: loss on gzip/mcf (see EXPERIMENTS.md).  Same ~0.08 noise headroom
-#: below each workload's worst measurement.  Env
-#: ``BENCH_EVENT_KERNEL_FLOOR`` overrides with one uniform floor.
-DEFAULT_EVENT_KERNEL_FLOORS = {"gzip": 0.82, "mcf": 0.82, "vortex": 0.88}
-
-#: Grid-batch channel: the measured grid is the shape real sweeps
-#: produce — each sampled scenario crossed with the sweep's spec
-#: column (champion, challenger, superscalar baseline), so warm-cache
-#: sharing across same-trace cells is exercised exactly as the
-#: scheduler exercises it.  17 scenarios x 3 specs = 51 cells.
-GRIDBATCH_NAMES = 17
-GRIDBATCH_SPECS = ("postdoms", "loop+procFT+loopFT", "superscalar")
-GRIDBATCH_TOKEN = "bench-gridbatch-v1"
-#: Floor for run_batch cells/sec over per-cell dispatch.  Honest, not
-#: the ISSUE's 2x: profiling shows ~80% of per-cell wall time is the
-#: simulation kernel itself (``event_kernel_steps``), and the synth
-#: catalog's ~1k-instruction traces leave only ~0.1ms/cell of warm-up
-#: for batching to amortize, so lockstep measures parity on this grid
-#: (0.83-0.97x across runs, machine noise).  This floor is a
-#: no-pessimization gate; the byte-identity check above it is the
-#: channel's real claim.  Env ``BENCH_GRIDBATCH_FLOOR`` overrides.
-DEFAULT_GRIDBATCH_FLOOR = 0.75
-
 #: Estimator channel: sampled cells, rotation token, and the error
 #: ceiling.  The 96-cell stratified sample measures ~25 points of mean
 #: absolute speedup error (the full catalog measures 27.9/23.1 points
@@ -210,12 +125,6 @@ DEFAULT_FABRIC_FLOOR = 1.5
 _CALIBRATION_N = 2_000_000
 
 
-def _env_float(variable):
-    """``float(os.environ[variable])`` or ``None`` when unset/empty."""
-    value = os.environ.get(variable)
-    return float(value) if value else None
-
-
 def machine_index(repeats=3):
     """Operations/sec of a fixed pure-Python loop (best of ``repeats``).
 
@@ -233,18 +142,13 @@ def machine_index(repeats=3):
     return _CALIBRATION_N / best
 
 
-def measure_kernel(scale, repeats, block_engine, event_kernel=False):
-    """Best-of-``repeats`` kernel throughput per workload, in-process.
+def measure_serial(scale, repeats):
+    """The ``serial`` channel: best-of-``repeats`` fused-loop kernel
+    throughput per workload, in-process.
 
     Workload preparation (functional execution + static analyses) is
     warmed outside the timed region: the benchmark isolates the
-    cycle-level timing kernel.  ``block_engine`` and ``event_kernel``
-    select the measured path explicitly — ``(False, False)`` is the PR3
-    per-instruction fast path (the ``serial`` channel), ``(True,
-    False)`` the block-at-a-time engine (the ``blocks`` channel), and
-    ``(True, True)`` the event-calendar kernel (the ``event_kernel``
-    channel) — so no channel depends on the ``REPRO_BLOCK_ENGINE`` or
-    ``REPRO_EVENT_KERNEL`` process defaults.
+    cycle-level timing kernel.
     """
     from repro.experiments.runner import build_core
     from repro.polyflow import PAPER_CONFIG
@@ -256,14 +160,7 @@ def measure_kernel(scale, repeats, block_engine, event_kernel=False):
         instructions = len(prepared.trace)
         best = float("inf")
         for _ in range(repeats):
-            core = build_core(
-                name,
-                POLICY,
-                scale,
-                PAPER_CONFIG,
-                block_engine=block_engine,
-                event_kernel=event_kernel,
-            )
+            core = build_core(name, POLICY, scale, PAPER_CONFIG)
             started = time.perf_counter()
             stats = core.run()
             elapsed = time.perf_counter() - started
@@ -287,44 +184,6 @@ def measure_kernel(scale, repeats, block_engine, event_kernel=False):
         "seconds": total_seconds,
         "aggregate_ips": total_instructions / total_seconds,
     }
-
-
-def measure_serial(scale, repeats):
-    """The ``serial`` channel: block engine off (PR3 fast path)."""
-    return measure_kernel(scale, repeats, block_engine=False)
-
-
-def _attach_speedups(measured, serial):
-    """Annotate ``measured`` with per-workload/aggregate speedups over
-    the ``serial`` channel.  Both channels are timed in the same
-    process on the same machine, so the ratios are immune to the
-    machine index."""
-    speedups = {}
-    for name, entry in measured["per_workload"].items():
-        baseline = serial["per_workload"][name]
-        entry["speedup_vs_serial"] = entry["ips"] / baseline["ips"]
-        speedups[name] = entry["speedup_vs_serial"]
-    measured["speedup_vs_serial"] = speedups
-    measured["aggregate_speedup_vs_serial"] = (
-        measured["aggregate_ips"] / serial["aggregate_ips"]
-    )
-    return measured
-
-
-def measure_blocks(scale, repeats, serial):
-    """The ``blocks`` channel: block engine on, with speedups vs serial."""
-    return _attach_speedups(
-        measure_kernel(scale, repeats, block_engine=True), serial
-    )
-
-
-def measure_event_kernel(scale, repeats, serial):
-    """The ``event_kernel`` channel: event-calendar kernel over the
-    block engine, with speedups vs serial."""
-    return _attach_speedups(
-        measure_kernel(scale, repeats, block_engine=True, event_kernel=True),
-        serial,
-    )
 
 
 def measure_jobs(scale, jobs, repeats):
@@ -413,69 +272,6 @@ def measure_cache_hits(scale, repeats):
         "entries": len(WORKLOADS),
         "wall_seconds": best,
         "loads_per_second": len(WORKLOADS) / best,
-    }
-
-
-def measure_gridbatch(scale, repeats=3, names=GRIDBATCH_NAMES):
-    """The ``gridbatch`` channel: lockstep batch vs per-cell dispatch.
-
-    Runs the same stratified synth grid (scenarios crossed with the
-    sweep's spec column) through the per-cell
-    ``scheduler.execute_job`` loop and through
-    ``gridbatch.run_batch``, best-of-``repeats`` each, and verifies
-    the two paths' stats are identical cell for cell.  One untimed
-    per-cell pass warms traces, analyses, and block tables first, so
-    the timed region compares steady-state dispatch — the state a
-    figure-generation sweep runs in.
-    """
-    from repro.experiments import scheduler
-    from repro.polyflow import PAPER_CONFIG
-    from repro.sim import gridbatch
-    from repro.spawn import canonical_spec
-    from repro.workloads.synth import stratified_sample
-
-    jobs = [
-        (name, canonical_spec(spec), PAPER_CONFIG, None)
-        for name in stratified_sample(names, GRIDBATCH_TOKEN)
-        for spec in GRIDBATCH_SPECS
-    ]
-
-    def run_percell():
-        return [
-            scheduler.execute_job(name, spec, scale, config, distance)[0]
-            for name, spec, config, distance in jobs
-        ]
-
-    def run_batched():
-        return [outcome[0] for outcome in gridbatch.run_batch(jobs, scale)]
-
-    run_percell()  # untimed warm-up
-    per_seconds = batch_seconds = float("inf")
-    per_stats = batch_stats = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        per_stats = run_percell()
-        per_seconds = min(per_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        batch_stats = run_batched()
-        batch_seconds = min(batch_seconds, time.perf_counter() - started)
-    identical = all(
-        a.as_dict() == b.as_dict() for a, b in zip(per_stats, batch_stats)
-    )
-    return {
-        "cells": len(jobs),
-        "policy": POLICY,
-        "token": GRIDBATCH_TOKEN,
-        "per_cell": {
-            "seconds": per_seconds,
-            "cells_per_second": len(jobs) / per_seconds,
-        },
-        "batch": {
-            "seconds": batch_seconds,
-            "cells_per_second": len(jobs) / batch_seconds,
-        },
-        "speedup": per_seconds / batch_seconds,
-        "stats_identical": identical,
     }
 
 
@@ -651,9 +447,9 @@ def measure_fabric(
 def run_benchmark(
     scale, repeats, jobs, jobs_repeats=3, skip_jobs=False, skip_cache=False
 ):
-    """One full measurement: calibration, serial trio (engine off),
-    blocks trio (engine on), jobs fan-out, warm-cache replay, and the
-    derived parallel-efficiency ratio."""
+    """One full measurement: calibration, serial trio, estimator,
+    fabric sweep, jobs fan-out, warm-cache replay, and the derived
+    parallel-efficiency ratio."""
     report = {
         "schema": SCHEMA,
         "workloads": list(WORKLOADS),
@@ -664,11 +460,6 @@ def run_benchmark(
         "machine_index": machine_index(),
         "serial": measure_serial(scale, repeats),
     }
-    report["blocks"] = measure_blocks(scale, repeats, report["serial"])
-    report["event_kernel"] = measure_event_kernel(
-        scale, repeats, report["serial"]
-    )
-    report["gridbatch"] = measure_gridbatch(scale)
     report["estimator"] = measure_estimator(scale)
     report["fabric"] = measure_fabric(scale, jobs_repeats)
     if not skip_jobs:
@@ -693,18 +484,6 @@ def speedup_vs_baseline(report, baseline):
         / baseline["serial"]["aggregate_ips"]
         / ratio
     )
-    if "blocks" in report and "blocks" in baseline:
-        speedups["blocks"] = (
-            report["blocks"]["aggregate_ips"]
-            / baseline["blocks"]["aggregate_ips"]
-            / ratio
-        )
-    if "event_kernel" in report and "event_kernel" in baseline:
-        speedups["event_kernel"] = (
-            report["event_kernel"]["aggregate_ips"]
-            / baseline["event_kernel"]["aggregate_ips"]
-            / ratio
-        )
     if "jobs4" in report and "jobs4" in baseline:
         speedups["jobs4"] = (
             report["jobs4"]["ips"] / baseline["jobs4"]["ips"] / ratio
@@ -713,12 +492,6 @@ def speedup_vs_baseline(report, baseline):
         speedups["cache_hit"] = (
             report["cache_hit"]["loads_per_second"]
             / baseline["cache_hit"]["loads_per_second"]
-            / ratio
-        )
-    if "gridbatch" in report and "gridbatch" in baseline:
-        speedups["gridbatch"] = (
-            report["gridbatch"]["batch"]["cells_per_second"]
-            / baseline["gridbatch"]["batch"]["cells_per_second"]
             / ratio
         )
     if (
@@ -743,14 +516,7 @@ def check_schema(report, reference, reference_path):
     """
     failures = []
     reference_schema = reference.get("schema", 0)
-    for channel in (
-        "serial",
-        "blocks",
-        "event_kernel",
-        "gridbatch",
-        "estimator",
-        "fabric",
-    ):
+    for channel in ("serial", "estimator", "fabric"):
         if channel in report and channel not in reference:
             failures.append(
                 "baseline {} (schema {}) predates schema {}: it has no "
@@ -779,22 +545,6 @@ def check_regression(report, reference, tolerance):
             reference["serial"]["aggregate_ips"],
         )
     ]
-    if "blocks" in report and "blocks" in reference:
-        checks.append(
-            (
-                "blocks",
-                report["blocks"]["aggregate_ips"],
-                reference["blocks"]["aggregate_ips"],
-            )
-        )
-    if "event_kernel" in report and "event_kernel" in reference:
-        checks.append(
-            (
-                "event_kernel",
-                report["event_kernel"]["aggregate_ips"],
-                reference["event_kernel"]["aggregate_ips"],
-            )
-        )
     if "jobs4" in report and "jobs4" in reference:
         checks.append(("jobs4", report["jobs4"]["ips"], reference["jobs4"]["ips"]))
     if "cache_hit" in report and "cache_hit" in reference:
@@ -803,14 +553,6 @@ def check_regression(report, reference, tolerance):
                 "cache_hit",
                 report["cache_hit"]["loads_per_second"],
                 reference["cache_hit"]["loads_per_second"],
-            )
-        )
-    if "gridbatch" in report and "gridbatch" in reference:
-        checks.append(
-            (
-                "gridbatch",
-                report["gridbatch"]["batch"]["cells_per_second"],
-                reference["gridbatch"]["batch"]["cells_per_second"],
             )
         )
     if (
@@ -874,79 +616,6 @@ def check_efficiency(
             )
         ]
     return []
-
-
-def floor_for(floors, name):
-    """The floor applying to ``name``: per-workload dict or uniform.
-
-    A workload missing from a per-workload dict (e.g. a future trio
-    change whose honest floor has not been measured yet) falls back to
-    the laxest listed floor rather than silently passing.
-    """
-    if isinstance(floors, dict):
-        return floors.get(name, min(floors.values()))
-    return floors
-
-
-def check_channel_speedups(report, channel, floors):
-    """Per-workload speedup-vs-serial gate for one engine channel.
-
-    Every workload's ``channel``/serial speedup must be at least its
-    floor — ``floors`` is either one uniform number (the env-override
-    path) or a per-workload dict of honest measured floors.  Both
-    channels are measured in the same process on the same machine, so
-    the ratio needs no machine-index normalization.  Returns failure
-    strings (empty = pass).
-    """
-    measured = report.get(channel)
-    if measured is None:
-        return []
-    failures = []
-    for name, speedup in measured.get("speedup_vs_serial", {}).items():
-        floor = floor_for(floors, name)
-        if speedup < floor:
-            failures.append(
-                "{}: {} speedup {:.2f}x < floor {:.2f}x "
-                "vs the per-instruction serial channel".format(
-                    channel, name, speedup, floor
-                )
-            )
-    return failures
-
-
-def check_blocks(report, floor=None):
-    """Block-engine gate (see :func:`check_channel_speedups`)."""
-    floors = DEFAULT_BLOCKS_FLOORS if floor is None else floor
-    return check_channel_speedups(report, "blocks", floors)
-
-
-def check_event_kernel(report, floor=None):
-    """Event-kernel gate (see :func:`check_channel_speedups`)."""
-    floors = DEFAULT_EVENT_KERNEL_FLOORS if floor is None else floor
-    return check_channel_speedups(report, "event_kernel", floors)
-
-
-def check_gridbatch(report, floor=None):
-    """Grid-batch gate: byte-identical stats and a cells/sec floor."""
-    measured = report.get("gridbatch")
-    if measured is None:
-        return []
-    if floor is None:
-        floor = DEFAULT_GRIDBATCH_FLOOR
-    failures = []
-    if not measured.get("stats_identical", False):
-        failures.append(
-            "gridbatch: lockstep batch stats diverged from the per-cell "
-            "path (byte-identity is the runner's core invariant)"
-        )
-    if measured["speedup"] < floor:
-        failures.append(
-            "gridbatch: batch ran {:.2f}x per-cell dispatch on {} cells "
-            "(floor {:.2f}x)".format(
-                measured["speedup"], measured["cells"], floor
-            )
-        )
-    return failures
 
 
 def check_fabric(report, floor=None):
@@ -1038,32 +707,6 @@ def render(report):
             report["serial"]["aggregate_ips"],
         )
     )
-    for channel, label in (("blocks", "block engine"), ("event_kernel", "event kernel")):
-        if channel not in report:
-            continue
-        measured = report[channel]
-        for name, entry in measured["per_workload"].items():
-            lines.append(
-                "  {:>8}  {:>8} instr  {:>7.3f}s  {:>9.0f} ips "
-                "({:.2f}x serial, {})".format(
-                    name,
-                    entry["instructions"],
-                    entry["seconds"],
-                    entry["ips"],
-                    entry["speedup_vs_serial"],
-                    label,
-                )
-            )
-        lines.append(
-            "  {:>8}  {:>8} instr  {:>7.3f}s  {:>9.0f} ips "
-            "({:.2f}x serial aggregate)".format(
-                channel,
-                measured["instructions"],
-                measured["seconds"],
-                measured["aggregate_ips"],
-                measured["aggregate_speedup_vs_serial"],
-            )
-        )
     if "jobs4" in report:
         jobs = report["jobs4"]
         lines.append(
@@ -1089,18 +732,6 @@ def render(report):
         lines.append(
             "  cache-hit replay: {} entries in {:.4f}s ({:.0f} loads/s)".format(
                 cache["entries"], cache["wall_seconds"], cache["loads_per_second"]
-            )
-        )
-    if "gridbatch" in report:
-        grid = report["gridbatch"]
-        lines.append(
-            "  grid-batch: {} cells, {:.1f} cells/s lockstep vs {:.1f} "
-            "per-cell ({:.2f}x, stats {})".format(
-                grid["cells"],
-                grid["batch"]["cells_per_second"],
-                grid["per_cell"]["cells_per_second"],
-                grid["speedup"],
-                "identical" if grid["stats_identical"] else "DIVERGED",
             )
         )
     if "estimator" in report:
@@ -1163,27 +794,11 @@ def render_markdown_summary(report):
         "",
         "| metric | raw | normalized (ips / machine index) |",
         "|---|---:|---:|",
-        "| serial throughput (block engine off) | {:.0f} ips | {:.6f} |".format(
+        "| serial throughput (fused loop) | {:.0f} ips | {:.6f} |".format(
             report["serial"]["aggregate_ips"],
             report["serial"]["aggregate_ips"] / index,
         ),
     ]
-    for channel, label in (("blocks", "block-engine"), ("event_kernel", "event-kernel")):
-        if channel not in report:
-            continue
-        measured = report[channel]
-        lines.append(
-            "| {} throughput ({:.2f}x serial) | {:.0f} ips | {:.6f} |".format(
-                label,
-                measured["aggregate_speedup_vs_serial"],
-                measured["aggregate_ips"],
-                measured["aggregate_ips"] / index,
-            )
-        )
-        for name, speedup in sorted(measured.get("speedup_vs_serial", {}).items()):
-            lines.append(
-                "| {} speedup: {} | {:.2f}x | — |".format(label, name, speedup)
-            )
     if "jobs4" in report:
         jobs = report["jobs4"]
         lines.append(
@@ -1202,17 +817,6 @@ def render_markdown_summary(report):
         lines.append(
             "| warm cache replay | {:.0f} loads/s | {:.6f} |".format(
                 cache["loads_per_second"], cache["loads_per_second"] / index
-            )
-        )
-    if "gridbatch" in report:
-        grid = report["gridbatch"]
-        lines.append(
-            "| grid-batch lockstep ({:.2f}x per-cell, {} cells) "
-            "| {:.1f} cells/s | {:.6f} |".format(
-                grid["speedup"],
-                grid["cells"],
-                grid["batch"]["cells_per_second"],
-                grid["batch"]["cells_per_second"] / index,
             )
         )
     if "fabric" in report:
@@ -1301,35 +905,6 @@ def main(argv=None):
         "overrides)",
     )
     parser.add_argument(
-        "--blocks-floor",
-        type=float,
-        default=_env_float("BENCH_BLOCKS_FLOOR"),
-        help="uniform blocks/serial speedup floor for --check; default "
-        "is the per-workload dict {} (env BENCH_BLOCKS_FLOOR "
-        "overrides)".format(DEFAULT_BLOCKS_FLOORS),
-    )
-    parser.add_argument(
-        "--event-kernel-floor",
-        type=float,
-        default=_env_float("BENCH_EVENT_KERNEL_FLOOR"),
-        help="uniform event-kernel/serial speedup floor for --check; "
-        "default is the per-workload dict {} (env "
-        "BENCH_EVENT_KERNEL_FLOOR overrides)".format(
-            DEFAULT_EVENT_KERNEL_FLOORS
-        ),
-    )
-    parser.add_argument(
-        "--gridbatch-floor",
-        type=float,
-        default=float(
-            os.environ.get("BENCH_GRIDBATCH_FLOOR", DEFAULT_GRIDBATCH_FLOOR)
-        ),
-        help="minimum run_batch/per-cell cells/sec speedup for --check "
-        "(default {}; env BENCH_GRIDBATCH_FLOOR overrides)".format(
-            DEFAULT_GRIDBATCH_FLOOR
-        ),
-    )
-    parser.add_argument(
         "--fabric-floor",
         type=float,
         default=float(
@@ -1396,11 +971,6 @@ def main(argv=None):
         if not failures:
             failures = check_regression(report, reference, arguments.tolerance)
             failures.extend(check_efficiency(report, arguments.efficiency_floor))
-            failures.extend(check_blocks(report, arguments.blocks_floor))
-            failures.extend(
-                check_event_kernel(report, arguments.event_kernel_floor)
-            )
-            failures.extend(check_gridbatch(report, arguments.gridbatch_floor))
             failures.extend(
                 check_estimator(report, arguments.estimator_mae_ceiling)
             )
@@ -1411,18 +981,9 @@ def main(argv=None):
             return 1
         print(
             "gates passed (tolerance {:.0%}, efficiency floor {:.2f}x, "
-            "blocks floors {}, event-kernel floors {}, gridbatch floor "
-            "{:.2f}x, estimator ceiling {:.1f}, fabric floor {:.2f}x "
-            "vs {})".format(
+            "estimator ceiling {:.1f}, fabric floor {:.2f}x vs {})".format(
                 arguments.tolerance,
                 arguments.efficiency_floor,
-                arguments.blocks_floor
-                if arguments.blocks_floor is not None
-                else DEFAULT_BLOCKS_FLOORS,
-                arguments.event_kernel_floor
-                if arguments.event_kernel_floor is not None
-                else DEFAULT_EVENT_KERNEL_FLOORS,
-                arguments.gridbatch_floor,
                 arguments.estimator_mae_ceiling,
                 arguments.fabric_floor,
                 arguments.check,

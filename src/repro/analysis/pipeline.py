@@ -31,9 +31,9 @@ import tempfile
 
 #: Bump to invalidate persisted analysis entries (e.g. when an analysis
 #: gains fields or changes meaning in ways the digest cannot see).
-#: v2: analyses now carry the trace's compiled block table (see
-#: :mod:`repro.sim.blocks`), so warm workers inherit it from disk.
-ANALYSIS_FORMAT_VERSION = 2
+#: v2: analyses carried the trace's compiled block table.
+#: v3: the block engine was removed; pickles no longer carry one.
+ANALYSIS_FORMAT_VERSION = 3
 
 
 @functools.lru_cache(maxsize=512)
@@ -164,14 +164,6 @@ class AnalysisCache:
         if analyses is None:
             self.misses += 1
             analyses = compute_analyses(source, digest)
-            # Compile the block tables before persisting: they memoize
-            # themselves onto the trace/program, so the pickle carries
-            # them and warm workers load pre-compiled blocks instead of
-            # re-segmenting.
-            from repro.sim.blocks import block_table_for, program_blocks_for
-
-            block_table_for(analyses.trace)
-            program_blocks_for(analyses.program)
             self._disk_store(digest, analyses)
         else:
             self.disk_hits += 1

@@ -50,8 +50,8 @@ from repro.errors import ConfigurationError
 
 #: Version of the fabric frame vocabulary.  Bump on any frame or
 #: field change; drivers refuse workers that announce a different
-#: version at handshake.
-WIRE_VERSION = 1
+#: version at handshake.  v2: result outcomes dropped ``blocks``.
+WIRE_VERSION = 2
 
 #: Upper bound on one frame's body; anything larger is a protocol
 #: violation (a desynchronized stream decodes garbage lengths).

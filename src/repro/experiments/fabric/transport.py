@@ -2,7 +2,7 @@
 
 A transport takes the scheduler's cost-balanced chunks and executes
 them somewhere, yielding ``(chunk_index, outcomes)`` pairs as results
-arrive; each outcome is ``(packed_stats, seconds, blocks, source)``
+arrive; each outcome is ``(packed_stats, seconds, source)``
 with ``source`` either ``"simulated"`` or ``"store"``.  Two
 implementations:
 
@@ -103,8 +103,8 @@ class LocalPoolTransport:
         for future in as_completed(futures):
             index = futures[future]
             outcomes = [
-                (packed, seconds, blocks, "simulated")
-                for packed, _, seconds, blocks in future.result()
+                (packed, seconds, "simulated")
+                for packed, _, seconds in future.result()
             ]
             worker = next(
                 worker for worker, shard in enumerate(shards) if index in shard
@@ -375,14 +375,13 @@ class SubprocessWorkerTransport:
                 (
                     protocol.decode_packed(outcome["packed"]),
                     outcome["seconds"],
-                    outcome["blocks"],
                     outcome["source"],
                 )
                 for outcome in frame["outcomes"]
             ]
             placement["cells_by_worker"][worker] += len(outcomes)
             placement["store_cells_by_worker"][worker] += sum(
-                1 for outcome in outcomes if outcome[3] == "store"
+                1 for outcome in outcomes if outcome[2] == "store"
             )
             finished_at[worker] = time.perf_counter()
             yield chunk_index, outcomes

@@ -13,8 +13,7 @@ answered from the verified entry without simulating — labeled
 ``source=store`` so the driver books them as store hits, not runs.
 The remaining cells run through the scheduler's
 :func:`~repro.experiments.scheduler.execute_chunk` — the *same*
-worker-side path the local pool uses, lockstep grid-batching included,
-so fabric results are bit-identical to pooled and serial ones — and
+worker-side path the local pool uses, so fabric results are bit-identical to pooled and serial ones — and
 each fresh result is published back to the store for the next worker.
 
 stdout carries frames only; anything a simulation prints would corrupt
@@ -87,7 +86,6 @@ def _execute_chunk(frame, store, analysis_dir):
                         scheduler.pack_stats(stats)
                     ),
                     "seconds": 0.0,
-                    "blocks": {},
                     "source": "store",
                 }
         if body is None:
@@ -97,7 +95,7 @@ def _execute_chunk(frame, store, analysis_dir):
             cells[index] + (None,) for index in pending
         ]  # trace_file=None: fabric cells are plain
         executed = scheduler.execute_chunk(analysis_dir, scale, False, payload)
-        for index, (packed, _, seconds, blocks) in zip(pending, executed):
+        for index, (packed, _, seconds) in zip(pending, executed):
             name, spec, config, profile_distance = cells[index]
             if store is not None:
                 meta = {
@@ -115,7 +113,6 @@ def _execute_chunk(frame, store, analysis_dir):
             outcomes[index] = {
                 "packed": protocol.encode_packed(packed),
                 "seconds": seconds,
-                "blocks": blocks,
                 "source": "simulated",
             }
     return {

@@ -44,14 +44,15 @@ from repro.experiments.fabric.transport import (
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scheduler import execute_job
 from repro.polyflow.config import config_fingerprint
-from repro.sim import gridbatch
-from repro.sim.blocks import BLOCK_CACHE_KEYS
 from repro.spawn import canonical_spec
 
 #: Bump to invalidate every existing cache entry (e.g. when the
 #: simulator's timing model changes in a way the config cannot see).
 #: v2: entries grew an optional per-spawn-point metrics snapshot.
-CACHE_FORMAT_VERSION = 2
+#: v3: the block engine, event kernel and grid-batch runner were
+#: removed; entries they wrote (some with wrong cycle counts) must
+#: read as clean misses.
+CACHE_FORMAT_VERSION = 3
 
 #: Default cache directory used by the CLI (gitignored).
 DEFAULT_CACHE_DIR = ".polyflow-cache"
@@ -295,12 +296,6 @@ class RunSummary:
         #: Warm-pool restarts after a ``BrokenProcessPool`` (each one is
         #: an incident: a worker died and the grid was retried).
         self.pool_restarts = 0
-        #: Accumulated block-cache counter movement across every
-        #: simulation this summary booked (parent and workers alike).
-        self.block_cache = {key: 0 for key in BLOCK_CACHE_KEYS}
-        #: Cells executed through the grid-batch lockstep runner
-        #: (a subset of ``jobs_run``; the rest ran per-cell).
-        self.batched_jobs = 0
         #: Cells answered from the analytic estimator alone — no
         #: simulation ran, the consumer saw ``source=estimated``.
         self.estimated_cells = 0
@@ -347,10 +342,6 @@ class RunSummary:
     def record_pool_restart(self):
         """Note one dead-pool incident (the pool was torn down)."""
         self.pool_restarts += 1
-
-    def record_batched(self, count):
-        """Note ``count`` cells that ran through the lockstep batch."""
-        self.batched_jobs += count
 
     def record_estimated(self, count=1):
         """Note cells served analytically (``source=estimated``)."""
@@ -399,14 +390,6 @@ class RunSummary:
         """Collect one worker's aggregator snapshot under its policy spec."""
         self.metrics_snapshots.setdefault(spec, []).append(snapshot)
 
-    def record_block_cache(self, delta):
-        """Accumulate one job's block-cache counter movement."""
-        if not delta:
-            return
-        for key, value in delta.items():
-            if key in self.block_cache:
-                self.block_cache[key] += value
-
     def merged_metrics(self):
         """Per-policy merged attribution metrics (``{spec: snapshot}``)."""
         from repro.obs import merge_metrics
@@ -440,8 +423,6 @@ class RunSummary:
             "pool_restarts": self.pool_restarts,
             "corrupt_cache_entries": len(self.corrupt_entries),
             "corrupt_cache_paths": list(self.corrupt_entries),
-            "block_cache": dict(self.block_cache),
-            "batched_jobs": self.batched_jobs,
             "estimated_cells": self.estimated_cells,
             "fabric": dict(self.fabric),
             "wall_seconds": self.wall_seconds,
@@ -466,12 +447,6 @@ class RunSummary:
             lines.append(
                 "  schedule: {} inline, {} chunks across {} pool workers".format(
                     self.inline_jobs, self.chunks_shipped, self.pool_workers
-                )
-            )
-        if self.batched_jobs:
-            lines.append(
-                "  grid-batch: {} of {} simulated cells ran in lockstep".format(
-                    self.batched_jobs, self.jobs_run
                 )
             )
         if self.estimated_cells:
@@ -531,13 +506,6 @@ class RunSummary:
                     self.fabric["restarts"], self.fabric["replanned_cells"]
                 )
             )
-        if any(self.block_cache.values()):
-            lines.append(
-                "  block cache: {table_hits} table hits / {table_misses} compiles, "
-                "{program_hits} program hits / {program_misses} builds".format(
-                    **self.block_cache
-                )
-            )
         if self.corrupt_entries:
             lines.append(
                 "  {} corrupt cache entries re-simulated:".format(
@@ -577,12 +545,6 @@ class ParallelExperimentRunner(ExperimentRunner):
     which a cell runs inline in the parent, and ``cpus`` overrides CPU
     detection (tests force the pool path on single-core machines).
     """
-
-    #: Whether plain inline cells may run through the grid-batch
-    #: lockstep runner.  Subclasses whose ``_job_bus`` must observe
-    #: every inline simulation (the exploration service) set this
-    #: False so each cell keeps its own bus.
-    inline_batching = True
 
     def __init__(
         self,
@@ -784,9 +746,8 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     def _record_result(self, name, spec, config, profile_distance, outcome):
         """Book one finished simulation: summary, metrics, disk cache."""
-        stats, metrics, seconds, blocks = outcome
+        stats, metrics, seconds = outcome
         self.summary.record_job(name, self._job_label(spec, config), seconds)
-        self.summary.record_block_cache(blocks)
         if metrics is not None:
             self.summary.record_metrics(self._job_label(spec, config), metrics)
         self._store_cached(name, spec, config, profile_distance, stats, metrics)
@@ -799,8 +760,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         The base runner attaches nothing; the exploration service's
         runner overrides this to bridge lifecycle events into its
         progress journal.  A returned bus must be fresh per call and
-        non-verbose, so engine selection (and the stats) stay
-        identical.
+        non-verbose, so runs skip per-instruction event construction
+        and the stats stay identical.
         """
         return None
 
@@ -854,8 +815,7 @@ class ParallelExperimentRunner(ExperimentRunner):
                 self.run_with_config(name, spec, config, profile_distance)
         else:
             # Multi-cell grids always go through the scheduler: with
-            # ``jobs=1`` the plan is all-inline (no pool is touched)
-            # and plain cells still benefit from the lockstep batch.
+            # ``jobs=1`` the plan is all-inline (no pool is touched).
             self._fan_out(pending)
         if self.fabric_store is not None:
             self.summary.set_fabric_store(self.fabric_store.stats())
@@ -1036,7 +996,7 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     def _book_fabric_chunk(self, chunk, outcomes):
         """Book one fabric chunk's outcomes into the memo and caches."""
-        for job, (packed, seconds, blocks, source) in zip(chunk, outcomes):
+        for job, (packed, seconds, source) in zip(chunk, outcomes):
             name, spec, config, profile_distance = job
             stats = scheduler.unpack_stats(packed)
             key = self._result_key(name, spec, config, profile_distance)
@@ -1060,7 +1020,7 @@ class ParallelExperimentRunner(ExperimentRunner):
                     spec,
                     config,
                     profile_distance,
-                    (stats, None, seconds, blocks),
+                    (stats, None, seconds),
                 )
 
     # -- pool path ----------------------------------------------------------------
@@ -1072,10 +1032,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         closed-form length estimator for synthesized scenarios, so a
         cold catalog grid is planned without preparing every cell in
         the parent; workloads a fork-start pool needs are prepared by
-        its initializer instead.  Plain inline cells run through the
-        grid-batch lockstep runner when it is enabled (instrumented
-        cells — metrics, trace files, service buses — keep the
-        per-cell path).
+        its initializer instead.
         """
         costs = [scheduler.job_cost(name, self.scale) for name, _, _, _ in pending]
         plan = scheduler.plan_grid(
@@ -1111,12 +1068,6 @@ class ParallelExperimentRunner(ExperimentRunner):
                 )
                 for name, spec, config, profile_distance in chunk
             ]
-            # Mirror the worker's batching decision for the summary:
-            # plain cells of a big-enough chunk run in lockstep there.
-            if gridbatch.gridbatch_enabled() and not self.emit_metrics:
-                plain = sum(1 for entry in payload if entry[4] is None)
-                if plain >= gridbatch.MIN_BATCH_CELLS:
-                    self.summary.record_batched(plain)
             future = pool.submit(
                 scheduler.execute_chunk,
                 self.analysis_dir,
@@ -1130,7 +1081,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         # unfinished cells; results booked before the break are kept.
         for future in as_completed(futures):
             chunk = futures[future]
-            for job, (packed, metrics, seconds, blocks) in zip(
+            for job, (packed, metrics, seconds) in zip(
                 chunk, future.result()
             ):
                 name, spec, config, profile_distance = job
@@ -1141,45 +1092,10 @@ class ParallelExperimentRunner(ExperimentRunner):
                     spec,
                     config,
                     profile_distance,
-                    (stats, metrics, seconds, blocks),
+                    (stats, metrics, seconds),
                 )
 
     def _run_inline(self, inline_jobs):
-        """Run the plan's inline cells, batching the plain ones.
-
-        Cells with no instruments attached (no metrics, no trace file;
-        :attr:`inline_batching` vouches for ``_job_bus``) go through
-        the grid-batch lockstep runner together; the rest — and
-        everything when the batch would hold fewer than two cells —
-        keep the per-cell ``run_with_config`` path.  Results are booked
-        identically either way.
-        """
-        per_cell = list(inline_jobs)
-        batch_jobs = []
-        if (
-            self.inline_batching
-            and gridbatch.gridbatch_enabled()
-            and not self.emit_metrics
-        ):
-            plain, rest = [], []
-            for job in per_cell:
-                name, spec, config, profile_distance = job
-                trace_file = self._trace_file(name, spec, config, profile_distance)
-                key = self._result_key(name, spec, config, profile_distance)
-                if trace_file is None and key not in self._results:
-                    plain.append(job)
-                else:
-                    rest.append(job)
-            if len(plain) >= gridbatch.MIN_BATCH_CELLS:
-                batch_jobs, per_cell = plain, rest
-        if batch_jobs:
-            outcomes = gridbatch.run_batch(batch_jobs, self.scale)
-            self.summary.record_batched(len(batch_jobs))
-            for job, outcome in zip(batch_jobs, outcomes):
-                name, spec, config, profile_distance = job
-                key = self._result_key(name, spec, config, profile_distance)
-                self._results[key] = self._record_result(
-                    name, spec, config, profile_distance, outcome
-                )
-        for name, spec, config, profile_distance in per_cell:
+        """Run the plan's inline cells one by one in the parent."""
+        for name, spec, config, profile_distance in inline_jobs:
             self.run_with_config(name, spec, config, profile_distance)

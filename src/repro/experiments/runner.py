@@ -60,8 +60,6 @@ def build_core(
     config,
     profile_distance=None,
     bus=None,
-    block_engine=None,
-    event_kernel=None,
 ):
     """Construct the :class:`PolyFlowCore` for one (workload, policy) job.
 
@@ -86,10 +84,6 @@ def build_core(
             the profile fixed; this keeps those runs reproducible.
         bus: Optional :class:`~repro.obs.EventBus` carrying trace or
             metrics sinks.
-        block_engine: Block-at-a-time engine override (None keeps the
-            :mod:`repro.sim.blocks` process default).
-        event_kernel: Event-calendar kernel override (None keeps the
-            :mod:`repro.polyflow.event_kernel` process default).
     """
     spec = canonical_spec(spec)
     prepared = prepare_workload(name, scale)
@@ -99,8 +93,6 @@ def build_core(
             superscalar_config(config),
             HintTable(),
             bus=bus,
-            block_engine=block_engine,
-            event_kernel=event_kernel,
         )
     if spec == REC_PRED_SPEC:
         from repro.reconvergence import build_reconvergence_spawner
@@ -110,8 +102,6 @@ def build_core(
             config,
             HintTable(),
             bus=bus,
-            block_engine=block_engine,
-            event_kernel=event_kernel,
         )
         core.spawn_unit = build_reconvergence_spawner(prepared, config)
         return core
@@ -124,8 +114,6 @@ def build_core(
         config,
         profile.hint_table(policy),
         bus=bus,
-        block_engine=block_engine,
-        event_kernel=event_kernel,
     )
 
 

@@ -363,23 +363,19 @@ def _init_worker(analysis_dir, warmup):
     """Pool initializer: arenas once per worker, not once per job.
 
     Enables the on-disk analysis layer and pre-materializes the
-    analyses/predecode arenas — and the block engine's compiled tables
-    — of every workload the first grid needs.  Under a fork start the
-    parent prepared them while estimating costs, so this is a memo hit;
-    under spawn it loads them from disk.  A workload that fails to
+    analyses/predecode arenas of every workload the first grid needs.
+    Under a fork start the parent prepared them while estimating costs,
+    so this is a memo hit; under spawn it loads them from disk.  A workload that fails to
     prepare is left for its chunk to report — an initializer exception
     would break the whole pool.
     """
     if analysis_dir is not None:
         configure_disk_cache(analysis_dir)
-    from repro.sim.blocks import block_table_for, program_blocks_for
     from repro.workloads import prepare_workload
 
     for name, scale in warmup:
         try:
-            prepared = prepare_workload(name, scale)
-            block_table_for(prepared.trace)
-            program_blocks_for(prepared.program)
+            prepare_workload(name, scale)
         except Exception:
             pass
 
@@ -453,31 +449,23 @@ def execute_job(
     trace_file=None,
     bus=None,
 ):
-    """Run one simulation, reporting ``(stats, metrics, seconds, blocks)``.
+    """Run one simulation, reporting ``(stats, metrics, seconds)``.
 
-    ``blocks`` is the job's block-cache counter movement (see
-    :func:`repro.sim.blocks.counters_delta`): a warm worker reports
-    table hits, a cold one the compile misses the job paid.  With
-    ``emit_metrics`` the run carries a verbose
-    :class:`~repro.obs.MetricsAggregator` and its picklable snapshot —
-    stamped with the same block-cache delta — is shipped back alongside
-    the stats.  With ``trace_file`` a compact lifecycle-events JSONL
-    trace is written there.  ``bus`` attaches a caller-provided
-    :class:`~repro.obs.EventBus` (the exploration service bridges
-    lifecycle events to its progress stream through one); it must be
-    fresh per job.  Stats are identical in every mode — the bus sinks
-    only observe, and a non-verbose bus leaves engine selection
-    untouched.
+    With ``emit_metrics`` the run carries a verbose
+    :class:`~repro.obs.MetricsAggregator` and its picklable snapshot is
+    shipped back alongside the stats.  With ``trace_file`` a compact
+    lifecycle-events JSONL trace is written there.  ``bus`` attaches a
+    caller-provided :class:`~repro.obs.EventBus` (the exploration
+    service bridges lifecycle events to its progress stream through
+    one); it must be fresh per job.  Stats are identical in every mode
+    — the bus sinks only observe.
     """
     from repro.experiments.runner import build_core, simulate_job
-    from repro.sim.blocks import cache_counters, counters_delta
 
     started = time.perf_counter()
-    counters_before = cache_counters()
     if not emit_metrics and trace_file is None and bus is None:
         stats = simulate_job(name, spec, scale, config, profile_distance)
-        blocks = counters_delta(counters_before)
-        return stats, None, time.perf_counter() - started, blocks
+        return stats, None, time.perf_counter() - started
 
     from repro.obs import (
         LIFECYCLE_KINDS,
@@ -500,12 +488,8 @@ def execute_job(
     stats = build_core(name, spec, scale, config, profile_distance, bus=bus).run()
     if writer is not None:
         writer.close()
-    blocks = counters_delta(counters_before)
-    metrics = None
-    if aggregator is not None:
-        aggregator.record_block_cache(blocks)
-        metrics = aggregator.as_dict()
-    return stats, metrics, time.perf_counter() - started, blocks
+    metrics = aggregator.as_dict() if aggregator is not None else None
+    return stats, metrics, time.perf_counter() - started
 
 
 def execute_chunk(analysis_dir, scale, emit_metrics, chunk):
@@ -513,47 +497,16 @@ def execute_chunk(analysis_dir, scale, emit_metrics, chunk):
 
     ``chunk`` is a list of ``(name, spec, config, profile_distance,
     trace_file)`` tuples; the return value is the aligned list of
-    ``(packed_stats, metrics, seconds, blocks)`` outcomes.  The
-    disk-cache configuration is re-asserted per chunk because the warm
-    pool outlives any single runner (whose cache directory may differ).
-
-    Plain cells (no metrics, no trace file) run through the grid-batch
-    lockstep runner (:mod:`repro.sim.gridbatch`) when it is enabled
-    and at least two such cells share the chunk — warm-cache replays
-    are shared per trace and per-cell dispatch overhead is amortized.
-    Instrumented cells always run per-cell.  Outcomes are booked into
-    the same aligned slots either way, and stats are byte-identical
-    between the two paths.
+    ``(packed_stats, metrics, seconds)`` outcomes.  The disk-cache
+    configuration is re-asserted per chunk because the warm pool
+    outlives any single runner (whose cache directory may differ).
     """
-    from repro.sim import gridbatch
-
     if analysis_dir is not None:
         configure_disk_cache(analysis_dir)
-    results = [None] * len(chunk)
-    batch_indices = []
-    if gridbatch.gridbatch_enabled() and not emit_metrics:
-        batch_indices = [
-            index
-            for index, (_, _, _, _, trace_file) in enumerate(chunk)
-            if gridbatch.batchable(emit_metrics, trace_file)
-        ]
-        if len(batch_indices) < gridbatch.MIN_BATCH_CELLS:
-            batch_indices = []
-    if batch_indices:
-        jobs = [
-            (chunk[index][0], chunk[index][1], chunk[index][2], chunk[index][3])
-            for index in batch_indices
-        ]
-        for index, (stats, metrics, seconds, blocks) in zip(
-            batch_indices, gridbatch.run_batch(jobs, scale)
-        ):
-            results[index] = (pack_stats(stats), metrics, seconds, blocks)
-    batched = set(batch_indices)
-    for index, (name, spec, config, profile_distance, trace_file) in enumerate(chunk):
-        if index in batched:
-            continue
-        stats, metrics, seconds, blocks = execute_job(
+    results = []
+    for name, spec, config, profile_distance, trace_file in chunk:
+        stats, metrics, seconds = execute_job(
             name, spec, scale, config, profile_distance, emit_metrics, trace_file
         )
-        results[index] = (pack_stats(stats), metrics, seconds, blocks)
+        results.append((pack_stats(stats), metrics, seconds))
     return results

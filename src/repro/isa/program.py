@@ -46,10 +46,10 @@ class Program:
 
         Seeded by the assembler with the digest of the assembly source
         (see :func:`repro.analysis.pipeline.source_digest`), so every
-        content-keyed cache — analyses, results, compiled block
-        tables — shares one hash computation per program.  A program
-        built directly from instructions (tests, generators) computes
-        a canonical rendering on first use instead.
+        content-keyed cache — analyses and results — shares one hash
+        computation per program.  A program built directly from
+        instructions (tests, generators) computes a canonical
+        rendering on first use instead.
         """
         digest = self._content_digest
         if digest is None:

@@ -49,25 +49,6 @@ class Cache:
         """The line-aligned address containing ``address``."""
         return address >> self._offset_bits
 
-    def snapshot_sets(self):
-        """A deep copy of the LRU state (tags per set, recency order)."""
-        return [list(tags) for tags in self._sets]
-
-    def restore_sets(self, snapshot):
-        """Install LRU state captured by :meth:`snapshot_sets`.
-
-        The grid-batch runner warms one hierarchy per trace and clones
-        the resulting state into sibling cells; restoring a snapshot is
-        observably identical to replaying the accesses that produced it.
-        """
-        if len(snapshot) != self.set_count:
-            raise ConfigurationError(
-                "snapshot has {} sets, cache has {}".format(
-                    len(snapshot), self.set_count
-                )
-            )
-        self._sets = [list(tags) for tags in snapshot]
-
     def access(self, address):
         """Access ``address``; returns True on hit.  Fills on miss."""
         line = address >> self._offset_bits

@@ -53,21 +53,6 @@ class CacheHierarchy:
         """Latency of a data access at ``address``."""
         return self._access(self.l1d, address)
 
-    def snapshot_sets(self):
-        """Per-level LRU state (see :meth:`Cache.snapshot_sets`)."""
-        return (
-            self.l1i.snapshot_sets(),
-            self.l1d.snapshot_sets(),
-            self.l2.snapshot_sets(),
-        )
-
-    def restore_sets(self, snapshot):
-        """Install per-level LRU state captured by :meth:`snapshot_sets`."""
-        l1i, l1d, l2 = snapshot
-        self.l1i.restore_sets(l1i)
-        self.l1d.restore_sets(l1d)
-        self.l2.restore_sets(l2)
-
     def reset_statistics(self):
         """Zero all hit/miss counters."""
         self.l1i.reset_statistics()

@@ -12,7 +12,7 @@ Two small pieces provide that bridge without touching the bus itself:
 * :class:`CallbackSink` — the adapter from the bus world to the stream
   world: a sink that forwards every received event object to a plain
   callable.  Attached non-verbose it keeps ``bus.verbose`` False, so a
-  bridged simulation still qualifies for the event-calendar kernel and
+  bridged simulation skips per-instruction event construction and
   produces bit-identical stats.
 
 * :class:`EventJournal` — a bounded, thread-safe, sequence-numbered

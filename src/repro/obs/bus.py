@@ -9,15 +9,10 @@ The core checks ``bus.verbose`` once per pipeline stage and skips
 constructing per-instruction events entirely when no verbose sink is
 attached, so event dispatch is effectively free on untraced runs.
 
-``bus.verbose`` also selects the timing engine: verbose emission
-timestamps every per-instruction event with the cycle it happened in,
-so a verbose bus pins the core to a cycle-exact engine (every cycle
-visited), while a non-verbose bus permits the event-calendar kernel
-(:mod:`repro.polyflow.event_kernel`) to jump the clock over frozen
-cycles.  Lifecycle events carry cycle timestamps too, and the engine
-equivalence suites pin them byte-identical across engines — the flag
-only decides *which* cycle-exact-equivalent engine runs, never what
-any sink observes.
+Both timing engines (the staged reference and the fused fast loop)
+visit every cycle, so events carry the same cycle timestamps whichever
+engine runs; the engine-equivalence suites pin the streams byte for
+byte.
 """
 
 #: Version of the event schema (bump on any field or kind change, and
@@ -33,9 +28,7 @@ class EventBus:
     def __init__(self):
         self._sinks = []
         #: True when at least one verbose sink is attached.  The core
-        #: reads this to guard high-frequency event construction and to
-        #: auto-select a cycle-exact engine (the time-skip kernel never
-        #: runs under a verbose bus; see the module docstring).
+        #: reads this to guard high-frequency event construction.
         self.verbose = False
 
     def attach(self, sink, verbose=True):

@@ -79,7 +79,6 @@ class MetricsAggregator:
 
     def __init__(self):
         self._by_origin = {}
-        self._block_cache = None
 
     def _bucket(self, origin):
         key = _origin_key(origin)
@@ -106,22 +105,6 @@ class MetricsAggregator:
             bucket = self._bucket(event.origin)
             bucket.tasks_committed += 1
             bucket.task_length_sum += event.length
-
-    def record_block_cache(self, delta):
-        """Stamp the run's block-cache counter movement onto the snapshot.
-
-        Not event-driven: the compiled-block caches are process-global
-        (see :func:`repro.sim.blocks.counters_delta`), so the harness
-        that owns the run attributes the delta explicitly.  Repeated
-        calls accumulate.
-        """
-        if not delta:
-            return
-        if self._block_cache is None:
-            self._block_cache = dict(delta)
-        else:
-            for key, value in delta.items():
-                self._block_cache[key] = self._block_cache.get(key, 0) + value
 
     # -- results ---------------------------------------------------------------
 
@@ -156,18 +139,14 @@ class MetricsAggregator:
         """Picklable/JSON-able snapshot (``{"origins": …, "totals": …}``).
 
         Origin keys are stringified so the snapshot survives a JSON
-        round trip unchanged.  ``block_cache`` appears only when a
-        harness stamped one (see :meth:`record_block_cache`).
+        round trip unchanged.
         """
-        snapshot = {
+        return {
             "origins": {
                 str(key): metrics for key, metrics in self.per_origin().items()
             },
             "totals": self.totals(),
         }
-        if self._block_cache is not None:
-            snapshot["block_cache"] = dict(self._block_cache)
-        return snapshot
 
     def render(self, title=None):
         """The per-spawn-point attribution table as ASCII."""
@@ -213,25 +192,10 @@ def merge_metrics(snapshots):
     for metrics in merged_origins.values():
         for key in totals:
             totals[key] += metrics.get(key, 0)
-    block_cache = None
-    for snapshot in snapshots:
-        if not snapshot:
-            continue
-        delta = snapshot.get("block_cache")
-        if not delta:
-            continue
-        if block_cache is None:
-            block_cache = dict(delta)
-        else:
-            for key, value in delta.items():
-                block_cache[key] = block_cache.get(key, 0) + value
-    merged = {
+    return {
         "origins": {
             origin: _derive(dict(metrics))
             for origin, metrics in merged_origins.items()
         },
         "totals": _derive(totals),
     }
-    if block_cache is not None:
-        merged["block_cache"] = block_cache
-    return merged

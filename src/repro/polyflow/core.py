@@ -60,12 +60,6 @@ from repro.polyflow.dependences import StoreSetPredictor
 from repro.polyflow.spawn_unit import SpawnUnit
 from repro.polyflow.stats import SimStats
 from repro.polyflow.task import Task
-from repro.polyflow.event_kernel import (
-    event_kernel_steps,
-    kernel_enabled_default,
-    run_event_kernel,
-)
-from repro.sim.blocks import block_table_for, engine_enabled_default
 from repro.sim.predecode import (
     KIND_CALL_DIRECT,
     KIND_CALL_INDIRECT,
@@ -90,12 +84,6 @@ _RETIRED = 6
 # Event kinds.
 _EV_COMPLETE = 0
 _EV_READY = 1
-# Batched ready: ``(kind, start, end)`` covers a whole fetched run with
-# one bucket entry.  Carries no generation — positions that left _READY
-# are filtered by the state check, and a squashed-then-refetched
-# position pushed early is deferred by the issue stage's earliest-cycle
-# guard until its true ready cycle.
-_EV_READY_RUN = 2
 
 #: ROB entries only the head task may use.
 _HEAD_ROB_RESERVE = 32
@@ -128,24 +116,9 @@ class PolyFlowCore:
         hint_table=None,
         max_cycles=None,
         bus=None,
-        block_engine=None,
-        event_kernel=None,
     ):
         self.trace = trace
         self.config = config
-        # Block-at-a-time engine toggle (see repro.sim.blocks).  Not a
-        # MachineConfig field: the engine is observably identical to the
-        # per-instruction path, so it must not move config_fingerprint.
-        self.block_engine = (
-            engine_enabled_default() if block_engine is None else bool(block_engine)
-        )
-        # Event-calendar kernel toggle (see repro.polyflow.event_kernel;
-        # same contract as block_engine: observably identical, so never
-        # part of config_fingerprint).  run() additionally requires the
-        # block tables and a non-verbose bus before selecting it.
-        self.event_kernel = (
-            kernel_enabled_default() if event_kernel is None else bool(event_kernel)
-        )
         self.hint_table = hint_table if hint_table is not None else HintTable()
         self.stats = SimStats()
         #: The event bus.  Task-lifecycle events always flow (SimStats
@@ -175,9 +148,6 @@ class PolyFlowCore:
         self._dep0 = decoded.dep0
         self._dep1 = decoded.dep1
         self._lines = decoded.icache_lines(self.hierarchy.l1i.offset_bits)
-        #: Set when the warm-cache replay already ran (or its result was
-        #: installed from a shared snapshot by the grid-batch runner).
-        self._warmed = False
         # Per-trace-index dynamic state.
         self._state = bytearray(count)
         self._gen = [0] * count
@@ -200,111 +170,34 @@ class PolyFlowCore:
         self._retire_ptr = 0
         self._next_task_id = 0
         self._cycle = 0
-        # Block engine tables.  Compiled eagerly (construction is off
-        # the benchmarked path), and recompiled by run() if the spawn
-        # unit was swapped after construction — the run_end overlay
-        # depends on its resolved targets.
-        self._reg_consumers = None
-        self._batch_deps = None
-        self._plain_end = None
-        self._run_end = None
-        self._compiled_for = None
-        if self.block_engine and not config.nested_spawns:
-            self._compile_blocks()
 
     # -- public API ------------------------------------------------------------
 
     def run(self):
         """Simulate the whole trace; returns the :class:`SimStats`.
 
-        Three observably identical engines back this method: the staged
-        reference loop (:meth:`_run_staged`, one method per stage), the
-        fused fast loop (:meth:`_run_fast`, all five pipeline stages
-        inlined over the flat decoded arrays), and the event-calendar
-        kernel (:func:`~repro.polyflow.event_kernel.run_event_kernel`,
-        which additionally jumps the clock over provably frozen
-        cycles).  Instances whose class overrides a stage hook — or
-        whose spawn unit overrides
-        :meth:`~repro.polyflow.spawn_unit.SpawnUnit.spawn_target` —
-        run staged; the event kernel is selected only with the block
-        tables compiled, ``nested_spawns`` off and no verbose sink
-        attached (verbose emission needs every cycle visited);
-        everything else takes the fast path.  The engine-equivalence
-        tests pin that all three produce identical event streams and
-        statistics.
-        """
-        for _ in self.run_incremental(stride=0):
-            pass  # pragma: no cover - stride 0 never yields
-        return self.stats
-
-    def prewarm(self):
-        """Run the warm-cache replay now (idempotent); returns the
-        post-warm hierarchy LRU snapshot.
-
-        The grid-batch runner warms the first cell of each trace this
-        way and installs the snapshot into siblings via
-        :meth:`install_warm_state`, so the O(trace) replay runs once
-        per trace instead of once per cell.  State after ``prewarm`` is
-        byte-identical to what ``run`` would have produced on its own.
-        """
-        if self.config.warm_caches and not self._warmed:
-            self._warm_caches()
-            self._warmed = True
-        return self.hierarchy.snapshot_sets()
-
-    def install_warm_state(self, snapshot):
-        """Adopt a sibling core's post-warm hierarchy state (see
-        :meth:`prewarm`); ``run`` then skips its own replay."""
-        if self.config.warm_caches and not self._warmed:
-            self.hierarchy.restore_sets(snapshot)
-            self._warmed = True
-
-    def run_incremental(self, stride=4096):
-        """Generator form of :meth:`run` for the grid-batch runner.
-
-        Advances the simulation and yields the retire pointer every
-        ``stride`` event-calendar steps, so a driver can advance many
-        independent cells in lockstep (round-robin ``next()``).  Only
-        the event-calendar kernel is resumable; runs that select the
-        staged or fused engines (or an empty trace) complete during the
-        first ``next()`` without intermediate yields.  A ``stride`` of
-        0 (or ``None``) never yields — :meth:`run` drains exactly that.
-        Statistics and event streams are identical for every stride;
-        after exhaustion ``self.stats`` is final.
+        Two observably identical engines back this method: the staged
+        reference loop (:meth:`_run_staged`, one method per pipeline
+        stage — the readable specification) and the fused fast loop
+        (:meth:`_run_fast`, the same five stages inlined over the flat
+        decoded arrays).  The choice is automatic: an instance whose
+        class overrides a stage hook, or whose spawn unit overrides
+        :meth:`~repro.polyflow.spawn_unit.SpawnUnit.spawn_target`, runs
+        staged; everything else takes the fast loop.  The
+        engine-equivalence tests pin that both produce identical event
+        streams and statistics.
         """
         if not len(self.trace):
-            return
-        if self.config.warm_caches and not self._warmed:
+            return self.stats
+        if self.config.warm_caches:
             self._warm_caches()
-            self._warmed = True
         initial = self._new_task(0)
         self._tasks.append(initial)
         self.bus.emit(TaskStarted(0, initial.task_id, 0, self._pcs[0], None))
         if self._stage_hooks_overridden():
             self._run_staged()
         else:
-            if (
-                self.block_engine
-                and not self.config.nested_spawns
-                and self._compiled_for is not self.spawn_unit
-            ):
-                self._compile_blocks()
-            if (
-                self.event_kernel
-                and self._run_end is not None
-                and not self.config.nested_spawns
-                and not self.bus.verbose
-            ):
-                # Next-event calendar: exact for non-verbose runs on
-                # the compiled block tables.  Verbose buses (and the
-                # stage-hook/nested cases above) keep a cycle-exact
-                # engine — the same auto-fallback as the staged split.
-                if stride and stride > 0:
-                    yield from event_kernel_steps(self, stride)
-                else:
-                    run_event_kernel(self)
-            else:
-                self._run_fast()
+            self._run_fast()
         count = len(self.trace)
         while self._tasks:
             # The tail task (and only it) is never popped by retire;
@@ -313,40 +206,7 @@ class PolyFlowCore:
             self._emit_task_commit(task, count)
         self.stats.cycles = self._cycle
         self.stats.cache_stats = self.hierarchy.statistics()
-
-    def _compile_blocks(self):
-        """Bind the block engine's tables for the fast loop.
-
-        The per-trace :class:`~repro.sim.blocks.BlockTable` is memoized
-        across cores; the ``run_end`` overlay additionally cuts every
-        straight-line run at this policy's spawn-candidate indices so
-        the per-instruction path (and only it) consults the spawn unit
-        there.  Suppression is ignored on purpose — cutting at a
-        suppressed trigger is merely conservative.
-        """
-        table = block_table_for(self.trace)
-        self._reg_consumers = table.reg_consumers
-        self._batch_deps = table.batch_deps
-        self._plain_end = table.plain_end
-        batch_end = table.batch_end
-        spawn_unit = self.spawn_unit
-        candidates = spawn_unit.spawn_candidate_indices()
-        if not candidates:
-            # No spawn candidates (empty hint table): the shared block
-            # table needs no cuts, so alias it outright.
-            self._run_end = batch_end
-        else:
-            # Patch only around the candidates: each cut truncates its
-            # own straight-line run, walking back at most one run.
-            run_end = batch_end[:]
-            for cut in candidates:
-                run_end[cut] = cut
-                index = cut - 1
-                while index >= 0 and run_end[index] > cut:
-                    run_end[index] = cut
-                    index -= 1
-            self._run_end = run_end
-        self._compiled_for = spawn_unit
+        return self.stats
 
     def _stage_hooks_overridden(self):
         """Whether this instance must run the staged reference engine."""
@@ -453,31 +313,6 @@ class PolyFlowCore:
         release_state = _WAIT if config.divert_release == "dispatch" else _DONE
 
         count = len(pcs)
-
-        # Block engine tables, compiled in __init__ (see there for the
-        # overlay rationale).
-        run_end = self._run_end
-        reg_consumers = self._reg_consumers
-        batch_deps = self._batch_deps
-        use_blocks = run_end is not None
-        # Fetch-arbitration wake: no task can become fetch-eligible
-        # before this cycle (computed whenever arbitration comes up
-        # empty; reset by branch resolution and violations).
-        fetch_wake = 0
-        # Divert-queue dirty flag: the drain scan only runs on cycles
-        # after something that could unblock or add an entry (fetch,
-        # issue, retire, violation, a completion when release waits for
-        # _DONE, or drain progress itself).
-        fifo_dirty = True
-        completions_dirty = release_state == _DONE
-        # Tasks stalled on an unresolved transfer, keyed by the trace
-        # index they wait on (the staged engine scans the task deque
-        # instead; at most one live waiter exists per index, and stale
-        # entries are filtered by the waiting_branch_index re-check).
-        waiting_branches = {}
-        # Byte runs for the batched retire's slice compare/assign.
-        done_runs = [bytes([_DONE]) * size for size in range(width + 1)]
-        retired_runs = [bytes([_RETIRED]) * size for size in range(width + 1)]
         max_cycles = self.max_cycles
         cycle = self._cycle
         retire_ptr = self._retire_ptr
@@ -499,30 +334,24 @@ class PolyFlowCore:
         def enter_scheduler(index):
             # Inlined transcription of _enter_scheduler; mirrors the
             # rs-then-rt (duplicates included) producer registration.
-            # With the block engine, register producers are woken
-            # through the static reg_consumers adjacency instead of the
-            # dependents dict (the dict keeps memory dependences, whose
-            # producers the store-set predictor resolves at runtime).
             nonlocal sched_occupancy
             generation = gen[index]
             pending = 0
             producer = dep0[index]
             if producer >= 0 and state[producer] < _DONE:
-                if not use_blocks:
-                    bucket = dependents.get(producer)
-                    if bucket is None:
-                        dependents[producer] = [(index, generation)]
-                    else:
-                        bucket.append((index, generation))
+                bucket = dependents.get(producer)
+                if bucket is None:
+                    dependents[producer] = [(index, generation)]
+                else:
+                    bucket.append((index, generation))
                 pending += 1
             producer = dep1[index]
             if producer >= 0 and state[producer] < _DONE:
-                if not use_blocks:
-                    bucket = dependents.get(producer)
-                    if bucket is None:
-                        dependents[producer] = [(index, generation)]
-                    else:
-                        bucket.append((index, generation))
+                bucket = dependents.get(producer)
+                if bucket is None:
+                    dependents[producer] = [(index, generation)]
+                else:
+                    bucket.append((index, generation))
                 pending += 1
             if lats[index] == LAT_LOAD:
                 producer = mem_deps[index]
@@ -566,36 +395,15 @@ class PolyFlowCore:
                         )
                     )
                 verbose = bus.verbose
-                # Verbose cycles emit per-instruction fetch events, so
-                # the batched fetch stands down for the cycle.
-                batch_ok = use_blocks and not verbose
-                # Divert/issue/violation activity this cycle; consulted
-                # (with the fetch watermark) by the quiet-cycle skip.
-                active = False
-                fetch_mark = fetched_total
 
                 # ---- process events ------------------------------------
                 bucket = events.pop(cycle, None)
                 if bucket is not None:
-                    if completions_dirty:
-                        # A completion may unblock a diverted consumer
-                        # when releases wait for _DONE producers.
-                        fifo_dirty = True
                     for kind, index, generation in bucket:
                         if kind:
-                            if kind == _EV_READY:
-                                if (
-                                    gen[index] == generation
-                                    and state[index] == _READY
-                                ):
-                                    heappush(heap, index)
-                            else:
-                                # _EV_READY_RUN: (start, end) of a
-                                # batched run; see the constant's note
-                                # for why no generation is needed.
-                                for run_index in range(index, generation):
-                                    if state[run_index] == _READY:
-                                        heappush(heap, run_index)
+                            # _EV_READY.
+                            if gen[index] == generation and state[index] == _READY:
+                                heappush(heap, index)
                             continue
                         # Completion.
                         if gen[index] != generation:
@@ -603,56 +411,14 @@ class PolyFlowCore:
                         if state[index] != _EXEC:
                             continue
                         state[index] = _DONE
-                        if use_blocks:
-                            # O(1) waiter lookup; squashes leave stale
-                            # entries, hence the re-check.  Register
-                            # consumers wake through the static
-                            # adjacency: a consumer sitting in _WAIT
-                            # has counted this producer exactly once
-                            # per dependence slot (a squash of the
-                            # producer always squashes the consumer,
-                            # so no consumer outlives its count).
-                            if waiting_branches:
-                                waiter = waiting_branches.pop(index, None)
-                                if (
-                                    waiter is not None
-                                    and waiter.waiting_branch_index == index
-                                ):
-                                    resume = fetch_cycle[index] + mispredict_penalty
-                                    if resume < cycle + 1:
-                                        resume = cycle + 1
-                                    waiter.waiting_branch_index = None
-                                    waiter.fetch_stall_until = resume
-                                    fetch_wake = 0
-                            for consumer in reg_consumers[index]:
-                                if state[consumer] != _WAIT:
-                                    continue
-                                pending = wait_count[consumer] - 1
-                                wait_count[consumer] = pending
-                                if pending == 0:
-                                    state[consumer] = _READY
-                                    ready_at = earliest[consumer]
-                                    if ready_at <= cycle:
-                                        ready_at = cycle + 1
-                                    entry = (_EV_READY, consumer, gen[consumer])
-                                    ready_bucket = events.get(ready_at)
-                                    if ready_bucket is None:
-                                        events[ready_at] = [entry]
-                                    else:
-                                        ready_bucket.append(entry)
-                            # Only memory dependences live in the dict
-                            # here, and their producers are stores.
-                            if lats[index] != LAT_STORE:
-                                continue
-                        else:
-                            for task in tasks:
-                                if task.waiting_branch_index == index:
-                                    resume = fetch_cycle[index] + mispredict_penalty
-                                    if resume < cycle + 1:
-                                        resume = cycle + 1
-                                    task.waiting_branch_index = None
-                                    task.fetch_stall_until = resume
-                                    break
+                        for task in tasks:
+                            if task.waiting_branch_index == index:
+                                resume = fetch_cycle[index] + mispredict_penalty
+                                if resume < cycle + 1:
+                                    resume = cycle + 1
+                                task.waiting_branch_index = None
+                                task.fetch_stall_until = resume
+                                break
                         consumers = dependents.pop(index, None)
                         if not consumers:
                             continue
@@ -678,79 +444,36 @@ class PolyFlowCore:
 
                 # ---- retire --------------------------------------------
                 if state[retire_ptr] == _DONE:
-                    if verbose or not use_blocks:
-                        retired = 0
-                        while retired < width and retire_ptr < count:
-                            index = retire_ptr
-                            if state[index] != _DONE:
-                                break
-                            state[index] = _RETIRED
-                            rob_occupancy -= 1
-                            retire_ptr = index + 1
-                            retired += 1
-                            head = tasks[0]
-                            head.in_flight -= 1
-                            if verbose:
-                                point = head.spawn_point
-                                bus.emit(
-                                    InstructionCommitted(
-                                        cycle,
-                                        head.task_id,
-                                        index,
-                                        pcs[index],
-                                        point.trigger_pc if point is not None else None,
-                                    )
+                    retired = 0
+                    while retired < width and retire_ptr < count:
+                        index = retire_ptr
+                        if state[index] != _DONE:
+                            break
+                        state[index] = _RETIRED
+                        rob_occupancy -= 1
+                        retire_ptr = index + 1
+                        retired += 1
+                        head = tasks[0]
+                        head.in_flight -= 1
+                        if verbose:
+                            point = head.spawn_point
+                            bus.emit(
+                                InstructionCommitted(
+                                    cycle,
+                                    head.task_id,
+                                    index,
+                                    pcs[index],
+                                    point.trigger_pc if point is not None else None,
                                 )
-                            head_end = head.end_index
-                            if head_end is not None and retire_ptr >= head_end:
-                                tasks.popleft()
-                                self._emit_task_commit(head, head_end)
-                        retired_total += retired
-                        if retired:
-                            fifo_dirty = True
-                    else:
-                        # Batched retire: commit whole _DONE byte runs
-                        # with slice compare/assign instead of walking
-                        # the window one state at a time.
-                        retired = 0
-                        while retired < width and retire_ptr < count:
-                            head = tasks[0]
-                            head_end = head.end_index
-                            limit = retire_ptr + width - retired
-                            if limit > count:
-                                limit = count
-                            if head_end is not None and head_end < limit:
-                                limit = head_end
-                            span = limit - retire_ptr
-                            probe = state[retire_ptr:limit]
-                            if probe == done_runs[span]:
-                                committed = span
-                            else:
-                                committed = 0
-                                for value in probe:
-                                    if value != _DONE:
-                                        break
-                                    committed += 1
-                                if committed == 0:
-                                    break
-                            state[retire_ptr : retire_ptr + committed] = retired_runs[
-                                committed
-                            ]
-                            rob_occupancy -= committed
-                            retire_ptr += committed
-                            retired += committed
-                            head.in_flight -= committed
-                            if head_end is not None and retire_ptr >= head_end:
-                                tasks.popleft()
-                                self._emit_task_commit(head, head_end)
-                            if committed < span:
-                                break
-                        retired_total += retired
-                        if retired:
-                            fifo_dirty = True
+                            )
+                        head_end = head.end_index
+                        if head_end is not None and retire_ptr >= head_end:
+                            tasks.popleft()
+                            self._emit_task_commit(head, head_end)
+                    retired_total += retired
 
                 # ---- drain divert queue --------------------------------
-                if fifo and (fifo_dirty or not use_blocks):
+                if fifo:
                     oldest = retire_ptr
                     if state[oldest] == _DIVERT:
                         blocked = False
@@ -767,7 +490,6 @@ class PolyFlowCore:
                             del divert_producer_map[oldest]
                             divert_occupancy -= 1
                             enter_scheduler(oldest)
-                            active = True
                     if fifo:
                         moved = 0
                         scanned = 0
@@ -811,13 +533,6 @@ class PolyFlowCore:
                             moved += 1
                             if moved >= width:
                                 break
-                        if moved:
-                            active = True
-                    if use_blocks:
-                        # Any release this cycle can unblock further
-                        # entries next cycle; otherwise the scan found
-                        # nothing and nothing has changed since.
-                        fifo_dirty = active
 
                 # ---- issue ---------------------------------------------
                 if heap:
@@ -847,9 +562,6 @@ class PolyFlowCore:
                                 rob_occupancy = self._rob_occupancy
                                 sched_occupancy = self._sched_occupancy
                                 divert_occupancy = self._divert_occupancy
-                                active = True
-                                fifo_dirty = True
-                                fetch_wake = 0
                                 # The violator (and the heap contents
                                 # from younger tasks) were squashed;
                                 # issue no more this cycle.
@@ -873,9 +585,6 @@ class PolyFlowCore:
                         else:
                             complete_bucket.append(entry)
                         issued += 1
-                    if issued:
-                        active = True
-                        fifo_dirty = True
                     if deferred is not None:
                         for index in deferred:
                             heappush(heap, index)
@@ -885,16 +594,7 @@ class PolyFlowCore:
                 # one- and two-port configurations: the oldest
                 # fetch-ready task takes the first port, the lowest
                 # (in_flight, age) candidate among the rest the second.
-                if use_blocks and cycle < fetch_wake:
-                    # No task can pass the candidate predicate before
-                    # fetch_wake: the only ways in are a stall timer
-                    # expiring (bounded below by the minimum recorded
-                    # when arbitration last came up empty) or a branch
-                    # resolution / violation, both of which reset
-                    # fetch_wake to 0.
-                    selected = ()
-                    share = width
-                elif fetch_ports <= 2:
+                if fetch_ports <= 2:
                     first = None
                     second = None
                     second_key = None
@@ -921,23 +621,6 @@ class PolyFlowCore:
                     if first is None:
                         selected = ()
                         share = width
-                        if use_blocks:
-                            # Next cycle any candidate predicate can
-                            # flip on its own is the earliest stall
-                            # timer among tasks that pass the other two
-                            # tests (timers of branch-waiting tasks are
-                            # rewritten at resolution, which also
-                            # resets fetch_wake).
-                            wake_f = max_cycles + 2
-                            for task in tasks:
-                                if task.waiting_branch_index is None and (
-                                    task.end_index is None
-                                    or task.fetch_index < task.end_index
-                                ):
-                                    stall = task.fetch_stall_until
-                                    if stall < wake_f:
-                                        wake_f = stall
-                            fetch_wake = wake_f
                     elif second is None:
                         selected = (first,)
                         share = width
@@ -999,119 +682,6 @@ class PolyFlowCore:
                                 task.fetch_stall_until = cycle + latency
                                 icache_stalls += latency - 1
                                 break
-
-                        # ---- batched block fetch -----------------------
-                        # Consume a compiled straight-line run in one
-                        # inner loop: no control transfers, no spawn
-                        # candidates, no new I-cache lines inside the
-                        # run (run_end guarantees all three), so only
-                        # the dependence bookkeeping remains.  Aborts at
-                        # the first cross-task live dependence — the
-                        # per-instruction path below owns the
-                        # divert/store-set decision — committing the
-                        # prefix fetched so far.
-                        if batch_ok and run_end[index] - index >= 2:
-                            limit = run_end[index]
-                            bound = index + budget
-                            if bound < limit:
-                                limit = bound
-                            if end_index is not None and end_index < limit:
-                                limit = end_index
-                            bound = index + rob_cap - rob_occupancy
-                            if bound < limit:
-                                limit = bound
-                            bound = index + sched_cap - sched_occupancy
-                            if bound < limit:
-                                limit = bound
-                            if not is_head:
-                                bound = index + quota - sched_used.get(task_id, 0)
-                                if bound < limit:
-                                    limit = bound
-                            if limit - index >= 2:
-                                bstart = index
-                                position = index
-                                early = cycle + frontend_latency
-                                ready_at = early if early > cycle else cycle + 1
-                                any_ready = False
-                                while position < limit:
-                                    # All dispatch decisions are made
-                                    # before any mutation, so an abort
-                                    # leaves `position` untouched.
-                                    producer, producer1, mem_producer = batch_deps[
-                                        position
-                                    ]
-                                    pending = 0
-                                    if producer >= 0:
-                                        if producer >= bstart:
-                                            # Fetched this cycle: still
-                                            # in flight by construction.
-                                            pending += 1
-                                        elif state[producer] < _DONE:
-                                            if producer < start:
-                                                break
-                                            pending += 1
-                                    if producer1 >= 0:
-                                        if producer1 >= bstart:
-                                            pending += 1
-                                        elif state[producer1] < _DONE:
-                                            if producer1 < start:
-                                                break
-                                            pending += 1
-                                    generation = gen[position] + 1
-                                    if mem_producer >= 0 and (
-                                        mem_producer >= bstart
-                                        or state[mem_producer] < _DONE
-                                    ):
-                                        if mem_producer < start:
-                                            break
-                                        pending += 1
-                                        dep_bucket = dependents.get(mem_producer)
-                                        if dep_bucket is None:
-                                            dependents[mem_producer] = [
-                                                (position, generation)
-                                            ]
-                                        else:
-                                            dep_bucket.append((position, generation))
-                                    gen[position] = generation
-                                    # fetch_cycle stays unwritten: it is
-                                    # only read when a control transfer
-                                    # resolves, and runs are plain.
-                                    owner[position] = task_id
-                                    earliest[position] = early
-                                    wait_count[position] = pending
-                                    if pending:
-                                        state[position] = _WAIT
-                                    else:
-                                        state[position] = _READY
-                                        any_ready = True
-                                    position += 1
-                                batched = position - bstart
-                                if batched:
-                                    if any_ready:
-                                        # One range event covers every
-                                        # position that is still _READY
-                                        # when it fires.
-                                        entry = (_EV_READY_RUN, bstart, position)
-                                        ready_bucket = events.get(ready_at)
-                                        if ready_bucket is None:
-                                            events[ready_at] = [entry]
-                                        else:
-                                            ready_bucket.append(entry)
-                                    task.fetch_index = position
-                                    task.in_flight += batched
-                                    rob_occupancy += batched
-                                    sched_occupancy += batched
-                                    sched_used[task_id] = (
-                                        sched_used.get(task_id, 0) + batched
-                                    )
-                                    fetched_total += batched
-                                    budget -= batched
-                                    if spawn_trigger is not None:
-                                        burst_instructions += batched
-                                    continue
-                                # Zero-length batch (the very first
-                                # instruction crosses tasks): fall
-                                # through to the per-instruction path.
 
                         # Decide the dispatch target (see the staged
                         # _fetch_from_task for the full rationale).
@@ -1189,21 +759,19 @@ class PolyFlowCore:
                             pending = 0
                             producer = dep0[index]
                             if producer >= 0 and state[producer] < _DONE:
-                                if not use_blocks:
-                                    dep_bucket = dependents.get(producer)
-                                    if dep_bucket is None:
-                                        dependents[producer] = [(index, generation)]
-                                    else:
-                                        dep_bucket.append((index, generation))
+                                dep_bucket = dependents.get(producer)
+                                if dep_bucket is None:
+                                    dependents[producer] = [(index, generation)]
+                                else:
+                                    dep_bucket.append((index, generation))
                                 pending += 1
                             producer = dep1[index]
                             if producer >= 0 and state[producer] < _DONE:
-                                if not use_blocks:
-                                    dep_bucket = dependents.get(producer)
-                                    if dep_bucket is None:
-                                        dependents[producer] = [(index, generation)]
-                                    else:
-                                        dep_bucket.append((index, generation))
+                                dep_bucket = dependents.get(producer)
+                                if dep_bucket is None:
+                                    dependents[producer] = [(index, generation)]
+                                else:
+                                    dep_bucket.append((index, generation))
                                 pending += 1
                             if lats[index] == LAT_LOAD:
                                 producer = mem_deps[index]
@@ -1288,8 +856,6 @@ class PolyFlowCore:
                                 if gshare_update(pc, taken) != taken:
                                     branch_misses += 1
                                     task.waiting_branch_index = index
-                                    if use_blocks:
-                                        waiting_branches[index] = task
                                     break
                                 if taken:
                                     break  # one taken branch per cycle
@@ -1301,20 +867,14 @@ class PolyFlowCore:
                                     if not indirect_update(pc, next_pcs[index]):
                                         indirect_misses += 1
                                         task.waiting_branch_index = index
-                                        if use_blocks:
-                                            waiting_branches[index] = task
                                 elif kind == KIND_RETURN:
                                     if ras.pop() != next_pcs[index]:
                                         return_misses += 1
                                         task.waiting_branch_index = index
-                                        if use_blocks:
-                                            waiting_branches[index] = task
                                 elif kind == KIND_SWITCH:
                                     if not indirect_update(pc, next_pcs[index]):
                                         indirect_misses += 1
                                         task.waiting_branch_index = index
-                                        if use_blocks:
-                                            waiting_branches[index] = task
                                 # Every non-branch transfer ends the
                                 # fetch stream.
                                 break
@@ -1324,103 +884,7 @@ class PolyFlowCore:
                             spawn_trigger, burst_instructions, burst_diverts
                         )
 
-                if fetched_total != fetch_mark:
-                    # Fresh fetches may have added divert entries or new
-                    # producers; rescan the queue next cycle.
-                    fifo_dirty = True
-
                 occupancy_sum += len(tasks)
-
-                # ---- quiet-cycle skip ----------------------------------
-                # With the block engine on, a cycle in which nothing can
-                # change — no ready work, nothing retirable, every task
-                # fetch-inert, and the divert queue provably frozen — is
-                # a pure no-op until the next scheduled event or fetch
-                # timer, so jump straight there.  Every state transition
-                # is driven by an event bucket, a fetch timer expiring,
-                # or a same-cycle prior-stage change; the first two
-                # bound the jump and the third cannot occur in a cycle
-                # that starts quiet.  Only the per-cycle occupancy
-                # statistic accrues across the gap, added in closed
-                # form, so stats and event streams are exact.
-                if (
-                    batch_ok
-                    and not heap
-                    and cycle + 1 not in events
-                    and retire_ptr < count
-                    and state[retire_ptr] != _DONE
-                    and (
-                        not fifo
-                        or (not active and fetched_total == fetch_mark)
-                    )
-                ):
-                    wake = min(events) if events else None
-                    skip_ok = True
-                    head_task = tasks[0] if tasks else None
-                    next_cycle = cycle + 1
-                    for task in tasks:
-                        if task.waiting_branch_index is not None:
-                            continue  # resumes via a completion event
-                        findex = task.fetch_index
-                        end_i = task.end_index
-                        if findex >= (count if end_i is None else end_i):
-                            continue  # done fetching
-                        stall = task.fetch_stall_until
-                        if stall > next_cycle:
-                            if wake is None or stall < wake:
-                                wake = stall
-                            continue
-                        is_head = task is head_task
-                        if rob_occupancy >= (
-                            rob_entries if is_head else shared_rob_cap
-                        ):
-                            continue  # unblocked only by retire (events)
-                        if lines[findex] != task.last_fetch_line:
-                            skip_ok = False  # next fetch probes the I-cache
-                            break
-                        # A capacity-blocked fetch breaks before any
-                        # mutation; reconstruct which structure gates
-                        # the next instruction (all inputs are frozen
-                        # while the machine is quiet).
-                        start = task.start_index
-                        producer = dep0[findex]
-                        live = 0 <= producer < start and state[producer] < _DONE
-                        if not live:
-                            producer = dep1[findex]
-                            live = (
-                                0 <= producer < start and state[producer] < _DONE
-                            )
-                        if live:
-                            if divert_occupancy >= divert_entries:
-                                continue  # divert queue full: inert
-                            skip_ok = False
-                            break
-                        mem_live = False
-                        if lats[findex] == LAT_LOAD:
-                            producer = mem_deps[findex]
-                            mem_live = (
-                                0 <= producer < start and state[producer] < _DONE
-                            )
-                        sched_full = sched_occupancy >= (
-                            sched_entries if is_head else shared_sched_cap
-                        ) or (
-                            not is_head
-                            and sched_used.get(task.task_id, 0) >= quota
-                        )
-                        if mem_live:
-                            # Store-set prediction picks divert or
-                            # scheduler; inert only when both are full.
-                            if sched_full and divert_occupancy >= divert_entries:
-                                continue
-                            skip_ok = False
-                            break
-                        if sched_full:
-                            continue
-                        skip_ok = False
-                        break
-                    if skip_ok and wake is not None and wake > next_cycle:
-                        occupancy_sum += (wake - next_cycle) * len(tasks)
-                        cycle = wake - 1
         finally:
             self._retire_ptr = retire_ptr
             self._rob_occupancy = rob_occupancy
@@ -2124,19 +1588,9 @@ def simulate(
     hint_table=None,
     max_cycles=None,
     bus=None,
-    block_engine=None,
-    event_kernel=None,
 ):
     """Run the PolyFlow model over ``trace`` and return its stats."""
-    return PolyFlowCore(
-        trace,
-        config,
-        hint_table,
-        max_cycles,
-        bus,
-        block_engine=block_engine,
-        event_kernel=event_kernel,
-    ).run()
+    return PolyFlowCore(trace, config, hint_table, max_cycles, bus).run()
 
 
 def simulate_superscalar(trace, base_config=PAPER_CONFIG, max_cycles=None):

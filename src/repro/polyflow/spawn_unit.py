@@ -25,12 +25,6 @@ class SpawnUnit:
         self._task_diverts = defaultdict(int)
         self._suppressed = set()
         self._target_index = self._resolve_targets(trace)
-        # Ascending trace indices with a resolved spawn target; the
-        # block engine cuts its straight-line runs at these so spawn
-        # decisions always take the per-instruction fetch path.
-        self._candidate_indices = [
-            index for index, target in enumerate(self._target_index) if target >= 0
-        ]
 
     def _resolve_targets(self, trace):
         """For each trace index, the index where its spawn would start.
@@ -84,16 +78,6 @@ class SpawnUnit:
         :meth:`suppressed_triggers_live`) on its non-verbose fast path.
         """
         return self._target_index
-
-    def spawn_candidate_indices(self):
-        """Ascending trace indices whose resolved spawn target is live.
-
-        The block engine consults this when compiling its run-length
-        overlay (see :meth:`~repro.polyflow.core.PolyFlowCore._compile_blocks`):
-        candidates bound every batched run, so sparse hint tables make
-        the overlay a near-free copy of the shared block table.
-        """
-        return self._candidate_indices
 
     def suppressed_triggers_live(self):
         """The live suppression set (mutated by :meth:`record_squash`).

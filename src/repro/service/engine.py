@@ -50,14 +50,9 @@ class _ServiceRunner(ParallelExperimentRunner):
     non-verbose :class:`EventBus` whose lifecycle events are forwarded
     (bounded, cell-tagged) into the service journal.  Pooled chunks run
     in worker processes and are reported at chunk granularity instead.
-    A non-verbose bridge keeps ``bus.verbose`` False, so engine
-    selection — and therefore the stats — is untouched.
+    A non-verbose bridge keeps ``bus.verbose`` False, so the stats
+    are untouched.
     """
-
-    #: Every inline simulation must own its bridging bus, so the
-    #: lockstep batch (which carries no bus) is disabled inline;
-    #: pooled chunks still batch in the workers.
-    inline_batching = False
 
     def __init__(self, *args, journal=None, sim_event_limit=0, **kwargs):
         super().__init__(*args, **kwargs)

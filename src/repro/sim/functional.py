@@ -7,18 +7,14 @@ paper's simulator compares out-of-order results against an architectural
 simulator at retirement; here the architectural simulator is the single
 source of truth and the timing models replay its trace.
 
-That single trace anchors the whole engine stack: the two functional
-engines here (per-instruction and block-at-a-time) must emit identical
-records, and downstream the timing side's staged, fused, and
-event-calendar engines (:mod:`repro.polyflow.event_kernel`) must replay
-those records into identical event streams.  The differential suites
-pin every pairing, so any engine may be swapped per run without
-observable effect.
+That single trace anchors the timing side: its staged reference and
+fused fast engines (:class:`~repro.polyflow.core.PolyFlowCore`) must
+replay those records into identical event streams, which the
+differential suites pin.
 """
 
 from repro.errors import ExecutionError
 from repro.isa.instructions import INSTRUCTION_BYTES, NUM_REGISTERS, Opcode
-from repro.sim.blocks import engine_enabled_default, program_blocks_for
 from repro.sim.predecode import decode_program
 from repro.sim.trace import Trace, TraceRecord
 
@@ -122,10 +118,9 @@ def _chunk_keys(address, nbytes):
 class FunctionalSimulator:
     """Executes programs and emits committed-path traces."""
 
-    def __init__(self, program, max_instructions=DEFAULT_MAX_INSTRUCTIONS, block_engine=None):
+    def __init__(self, program, max_instructions=DEFAULT_MAX_INSTRUCTIONS):
         self.program = program
         self.max_instructions = max_instructions
-        self.block_engine = block_engine
 
     def run(self):
         """Execute the program and return its :class:`Trace`.
@@ -133,24 +128,12 @@ class FunctionalSimulator:
         The interpreter walks the pre-decoded flat operand records of
         :func:`~repro.sim.predecode.decode_program`, so the hot loop
         dispatches on plain ints and never touches instruction
-        attributes.  With the block engine enabled (the default; see
-        :mod:`repro.sim.blocks`), straight-line runs are executed from
-        compiled per-PC blocks, eliding the per-instruction fetch
-        lookup; the committed trace is identical either way.
+        attributes.
 
         Raises:
             ExecutionError: On an invalid PC, a memory access outside the
                 positive address space, or other illegal behaviour.
         """
-        block_engine = self.block_engine
-        if block_engine is None:
-            block_engine = engine_enabled_default()
-        if block_engine:
-            return self._run_blocks()
-        return self._run_instructions()
-
-    def _run_instructions(self):
-        """Per-instruction reference engine (block engine disabled)."""
         program = self.program
         state = MachineState(program)
         registers = state.registers
@@ -307,172 +290,7 @@ class FunctionalSimulator:
         self.final_state = state
         return Trace(records, halted)
 
-    def _run_blocks(self):
-        """Block-at-a-time engine: executes compiled straight-line
-        blocks (:class:`~repro.sim.blocks.ProgramBlocks`), skipping the
-        per-instruction fetch lookup.  Committed semantics — trace
-        records, producer edges, halt/budget behaviour, and error
-        messages — match :meth:`_run_instructions` exactly."""
-        program = self.program
-        state = MachineState(program)
-        registers = state.registers
-        block_at = program_blocks_for(program).block_at
-        load = state.load
-        store = state.store
 
-        records = []
-        append = records.append
-        reg_last_writer = [-1] * NUM_REGISTERS
-        mem_last_writer = {}
-        last_mem_writer = mem_last_writer.get
-
-        pc = state.pc
-        seq = 0
-        halted = False
-        max_instructions = self.max_instructions
-
-        while seq < max_instructions:
-            block = block_at(pc)
-            if block is None:
-                raise ExecutionError("fetch from invalid PC {:#x}".format(pc))
-            if seq + len(block) > max_instructions:
-                block = block[: max_instructions - seq]
-            for entry in block:
-                opcode, rd, rs, rt, imm, target, nsrc, inst, next_pc = entry
-                taken = False
-                mem_keys = ()
-                mem_dep = -1
-
-                if opcode <= _SRL:  # ALU register-register
-                    a = registers[rs]
-                    b = registers[rt]
-                    if opcode == _ADD:
-                        value = a + b
-                    elif opcode == _SUB:
-                        value = a - b
-                    elif opcode == _MUL:
-                        value = _to_signed(a) * _to_signed(b)
-                    elif opcode == _AND:
-                        value = a & b
-                    elif opcode == _OR:
-                        value = a | b
-                    elif opcode == _XOR:
-                        value = a ^ b
-                    elif opcode == _SLT:
-                        value = 1 if _to_signed(a) < _to_signed(b) else 0
-                    elif opcode == _SLL:
-                        value = a << (b & 63)
-                    else:  # SRL
-                        value = a >> (b & 63)
-                    if rd:
-                        registers[rd] = value & _WORD_MASK
-                elif opcode <= _SRLI:  # ALU register-immediate
-                    a = registers[rs]
-                    if opcode == _ADDI:
-                        value = a + imm
-                    elif opcode == _ANDI:
-                        value = a & imm
-                    elif opcode == _ORI:
-                        value = a | imm
-                    elif opcode == _XORI:
-                        value = a ^ imm
-                    elif opcode == _SLTI:
-                        value = 1 if _to_signed(a) < imm else 0
-                    elif opcode == _SLLI:
-                        value = a << (imm & 63)
-                    else:  # SRLI
-                        value = a >> (imm & 63)
-                    if rd:
-                        registers[rd] = value & _WORD_MASK
-                elif opcode == _LUI:
-                    if rd:
-                        registers[rd] = (imm << 16) & _WORD_MASK
-                elif opcode <= _LB:  # loads
-                    address = (registers[rs] + imm) & _WORD_MASK
-                    nbytes = 8 if opcode == _LW else (2 if opcode == _LH else 1)
-                    value = load(address, nbytes)
-                    if rd:
-                        registers[rd] = value
-                    first = address >> 3
-                    last = (address + nbytes - 1) >> 3
-                    mem_keys = (first,) if first == last else tuple(range(first, last + 1))
-                    for key in mem_keys:
-                        writer = last_mem_writer(key, -1)
-                        if writer > mem_dep:
-                            mem_dep = writer
-                elif opcode <= _SB:  # stores
-                    address = (registers[rs] + imm) & _WORD_MASK
-                    nbytes = 8 if opcode == _SW else (2 if opcode == _SH else 1)
-                    store(address, registers[rt], nbytes)
-                    first = address >> 3
-                    last = (address + nbytes - 1) >> 3
-                    mem_keys = (first,) if first == last else tuple(range(first, last + 1))
-                    for key in mem_keys:
-                        mem_last_writer[key] = seq
-                elif opcode <= _BLTZ:  # conditional branches
-                    if opcode == _BEQ:
-                        taken = registers[rs] == registers[rt]
-                    elif opcode == _BNE:
-                        taken = registers[rs] != registers[rt]
-                    else:
-                        a = _to_signed(registers[rs])
-                        if opcode == _BGEZ:
-                            taken = a >= 0
-                        elif opcode == _BGTZ:
-                            taken = a > 0
-                        elif opcode == _BLEZ:
-                            taken = a <= 0
-                        else:  # BLTZ
-                            taken = a < 0
-                    if taken:
-                        next_pc = target
-                elif opcode == _J:
-                    next_pc = target
-                    taken = True
-                elif opcode == _JAL:
-                    registers[31] = next_pc
-                    next_pc = target
-                    taken = True
-                elif opcode == _JR:
-                    next_pc = registers[rs]
-                    taken = True
-                elif opcode == _JALR:
-                    jump_to = registers[rs]
-                    registers[31] = next_pc
-                    next_pc = jump_to
-                    taken = True
-                elif opcode == _NOP:
-                    pass
-                elif opcode == _HALT:
-                    halted = True
-                else:  # pragma: no cover - all opcodes handled above
-                    raise ExecutionError("unimplemented opcode {!r}".format(opcode))
-
-                # Producer edges for the timing models.
-                if nsrc == 0:
-                    reg_deps = ()
-                elif nsrc == 1:
-                    reg_deps = (reg_last_writer[rs],)
-                else:
-                    reg_deps = (reg_last_writer[rs], reg_last_writer[rt])
-
-                append(TraceRecord(seq, inst, next_pc, taken, mem_keys, mem_dep, reg_deps))
-
-                if rd:  # r0 writes are discarded
-                    reg_last_writer[rd] = seq
-
-                if halted:
-                    seq += 1
-                    break
-                pc = next_pc
-                seq += 1
-            if halted:
-                break
-
-        self.final_state = state
-        return Trace(records, halted)
-
-
-def run_program(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS, block_engine=None):
+def run_program(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS):
     """Execute ``program`` and return its committed-path :class:`Trace`."""
-    return FunctionalSimulator(program, max_instructions, block_engine=block_engine).run()
+    return FunctionalSimulator(program, max_instructions).run()

@@ -131,9 +131,8 @@ class DecodedTrace:
         A derived flat column: ``pc >> offset_bits`` for each slot.
         Every core over the same trace reads the identical line column,
         so it is computed once per (trace, line size) instead of once
-        per core construction — the grid-batch runner simulates many
-        cells of one trace and this was the largest repeated setup
-        cost.
+        per core construction — a figure grid simulates many cells of
+        one trace.
         """
         lines = self._lines_by_shift.get(offset_bits)
         if lines is None:

@@ -57,3 +57,18 @@ def test_branch_in_b_spawns_e():
     cfg = paper_figure1_cfg()
     tree = compute_postdominator_tree(cfg)
     assert tree.parent(B) == E
+
+
+def test_headline_ordering_control_equivalent_spawning_wins():
+    """The paper's conclusion at scale 0.1: control-equivalent spawning
+    (``postdoms``) beats both the best single heuristic (Figure 9) and
+    the best heuristic combination (Figure 10) on average speedup, so a
+    timing-model change that flips the paper's ordering fails here."""
+    from repro.experiments import ExperimentRunner, figure9, figure10, headline_ratios
+
+    runner = ExperimentRunner(scale=0.1)
+    heuristic_ratio, combination_ratio = headline_ratios(
+        figure9(runner), figure10(runner)
+    )
+    assert heuristic_ratio > 1.0
+    assert combination_ratio > 1.0

@@ -32,12 +32,9 @@ def _report(serial_ips=500.0, machine_index=1000.0, **channels):
 
 def test_entry_normalizes_by_machine_index():
     entry = history.history_entry(
-        _report(serial_ips=500.0, machine_index=1000.0, event_kernel=600.0),
-        sha="a" * 40,
+        _report(serial_ips=500.0, machine_index=1000.0), sha="a" * 40
     )
     assert entry["serial"] == 0.5
-    assert entry["event_kernel"] == 0.6
-    assert "blocks" not in entry
     assert entry["sha"] == "a" * 12
     assert entry["schema"] == 4
 

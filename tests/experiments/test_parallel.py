@@ -137,6 +137,32 @@ def test_cache_survives_corrupt_entry(tmp_path):
     assert entry["meta"]["workload"] == "gzip"
 
 
+def test_previous_format_entry_is_a_clean_miss(tmp_path, monkeypatch):
+    """A result written under cache format v2 (by the removed block
+    engine, event kernel or grid-batch paths, some with wrong cycle
+    counts) is never served: it reads as a clean miss, not as a
+    corrupt entry, and the cell is re-simulated."""
+    from repro.experiments import parallel
+
+    assert parallel.CACHE_FORMAT_VERSION == 3
+    args = ("gzip", "postdoms", _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+    with monkeypatch.context() as patched:
+        patched.setattr(parallel, "CACHE_FORMAT_VERSION", 2)
+        stale_digest = job_digest(*args)
+    poisoned = simulate_job(*args)
+    poisoned.cycles += 1
+    stale = ResultCache(str(tmp_path / "cache"))
+    stale.store(stale_digest, poisoned, {"workload": "gzip", "version": 2})
+
+    runner = _parallel(tmp_path, jobs=1)
+    assert runner.prefetch([("gzip", "postdoms")]) == 1
+    assert runner.summary.cache_hits == 0
+    assert runner.summary.corrupt_entries == []
+    assert runner.cache.misses >= 1 and runner.cache.corrupt == 0
+    assert runner.run_policy("gzip", "postdoms").cycles == poisoned.cycles - 1
+    assert job_digest(*args) != stale_digest
+
+
 def test_cache_load_distinguishes_missing_from_corrupt(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
     digest = "ab" + "0" * 62
@@ -241,48 +267,18 @@ def test_run_summary_render():
     assert summary.slowest(1) == [("gzip", "postdoms", 1.25)]
 
 
-def test_run_summary_reports_block_cache_counters():
-    summary = RunSummary()
-    # Zero movement renders no block-cache line.
-    assert "block cache" not in summary.render()
-    summary.record_block_cache(
-        {"table_hits": 2, "table_misses": 1, "program_hits": 3, "program_misses": 1}
-    )
-    summary.record_block_cache({"table_hits": 1})
-    summary.record_block_cache(None)  # tolerated no-op
-    assert summary.block_cache["table_hits"] == 3
-    assert summary.block_cache["table_misses"] == 1
-    rendered = summary.render()
-    assert "block cache: 3 table hits / 1 compiles" in rendered
-    assert "3 program hits / 1 builds" in rendered
-
-
-def test_prefetch_surfaces_block_cache_in_summary(tmp_path):
-    """A cold prefetch records the block-table compiles it paid and the
-    hits later jobs get from the memoized tables."""
-    runner = ParallelExperimentRunner(
-        scale=0.05, workload_names=("gzip",), jobs=1, cache_dir=str(tmp_path / "c")
-    )
-    runner.prefetch([("gzip", "postdoms"), ("gzip", "hammock")])
-    block_cache = runner.summary.block_cache
-    assert sum(block_cache.values()) > 0
-    assert block_cache["table_hits"] >= 1
-
-
 def test_run_summary_as_dict_exposes_structured_fields():
     summary = RunSummary()
     summary.record_job("gzip", "postdoms", 1.25)
     summary.record_hit()
     summary.record_pool_restart()
     summary.record_corrupt("/cache/aa/bb.pkl")
-    summary.record_block_cache({"table_hits": 2})
     payload = summary.as_dict()
     assert payload["jobs_run"] == 1
     assert payload["cache_hits"] == 1
     assert payload["pool_restarts"] == 1
     assert payload["corrupt_cache_entries"] == 1
     assert payload["corrupt_cache_paths"] == ["/cache/aa/bb.pkl"]
-    assert payload["block_cache"]["table_hits"] == 2
     # The payload is pure JSON (the service serves it from /healthz).
     import json
 

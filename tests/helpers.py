@@ -1,9 +1,12 @@
 """Shared test helpers."""
 
+import io
 import os
 
 from repro.cfg import BasicBlock, ControlFlowGraph
 from repro.isa.instructions import Instruction, Opcode
+from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter
+from repro.polyflow import PolyFlowCore
 
 #: Hypothesis profile selected for this run (registered in
 #: tests/conftest.py; the nightly workflow exports
@@ -66,3 +69,59 @@ def paper_figure1_cfg():
         exit_blocks=[f],
         name="figure1",
     )
+
+
+class StagedReferenceCore(PolyFlowCore):
+    """Forces the staged reference engine.
+
+    Overriding any stage hook — here with a pass-through — makes
+    ``_stage_hooks_overridden`` pick ``_run_staged``, without changing
+    behaviour.  Comparing this against a plain ``PolyFlowCore`` (which
+    takes the fused fast loop) pins the two engines to each other.
+    """
+
+    def _fetch(self):
+        PolyFlowCore._fetch(self)
+
+
+def as_staged(core):
+    """Switch an unrun ``PolyFlowCore`` (e.g. from ``build_core``) to
+    the staged reference engine; returns it."""
+    core.__class__ = StagedReferenceCore
+    return core
+
+
+def run_streamed(core, verbose):
+    """Run ``core`` with a JSONL writer attached; returns
+    ``(stats_dict, stream_text)``.
+
+    ``verbose`` selects the full per-instruction stream; otherwise a
+    non-verbose writer records the lifecycle kinds only.  The core must
+    have been built with a fresh, sink-free ``bus``.
+    """
+    buffer = io.StringIO()
+    if verbose:
+        writer = core.bus.attach(JsonlTraceWriter(buffer), verbose=True)
+    else:
+        writer = core.bus.attach(
+            JsonlTraceWriter(buffer, kinds=LIFECYCLE_KINDS), verbose=False
+        )
+    stats = core.run()
+    writer.close()
+    return stats.as_dict(), buffer.getvalue()
+
+
+def assert_engines_agree(trace, config, hints, flavours=(False, True)):
+    """Fused and staged engines give identical stats and event streams
+    on one job, for each stream flavour (False = lifecycle, True =
+    verbose); returns the fused stats dict of the last flavour."""
+    for verbose in flavours:
+        fused = run_streamed(
+            PolyFlowCore(trace, config, hints, bus=EventBus()), verbose
+        )
+        staged = run_streamed(
+            StagedReferenceCore(trace, config, hints, bus=EventBus()), verbose
+        )
+        assert fused[1] == staged[1]
+        assert fused[0] == staged[0]
+    return fused[0]

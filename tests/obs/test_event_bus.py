@@ -183,26 +183,6 @@ def test_metrics_snapshot_is_json_roundtrippable():
     assert json.loads(json.dumps(snapshot)) == snapshot
 
 
-def test_metrics_block_cache_stamp_and_merge():
-    aggregator = MetricsAggregator()
-    # Unstamped snapshots carry no block_cache key at all.
-    assert "block_cache" not in aggregator.as_dict()
-    aggregator.record_block_cache({"table_hits": 2, "table_misses": 1})
-    aggregator.record_block_cache({"table_hits": 1, "program_hits": 4})
-    aggregator.record_block_cache(None)  # tolerated no-op
-    snapshot = aggregator.as_dict()
-    assert snapshot["block_cache"] == {
-        "table_hits": 3,
-        "table_misses": 1,
-        "program_hits": 4,
-    }
-    merged = merge_metrics([snapshot, snapshot, {"totals": {}, "origins": {}}])
-    assert merged["block_cache"]["table_hits"] == 6
-    assert merged["block_cache"]["program_hits"] == 8
-    # Merging snapshots without the key yields a merge without it.
-    assert "block_cache" not in merge_metrics([{"totals": {}, "origins": {}}])
-
-
 def test_task_commit_lengths_cover_the_trace():
     bus = EventBus()
     recorder = bus.attach(_Recorder(), verbose=False)

@@ -17,6 +17,8 @@ import os
 
 import pytest
 
+from tests.helpers import as_staged
+
 from repro.experiments.parallel import (
     ParallelExperimentRunner,
     job_digest,
@@ -61,16 +63,17 @@ def _golden_path(name, spec):
     )
 
 
-def _render_trace(name, spec, block_engine=None):
+def _render_trace(name, spec, staged=False):
     """The lifecycle JSONL trace of one run, as a string."""
     buffer = io.StringIO()
     bus = EventBus()
     writer = bus.attach(
         JsonlTraceWriter(buffer, kinds=LIFECYCLE_KINDS), verbose=False
     )
-    build_core(
-        name, spec, _SCALE, PAPER_CONFIG, bus=bus, block_engine=block_engine
-    ).run()
+    core = build_core(name, spec, _SCALE, PAPER_CONFIG, bus=bus)
+    if staged:
+        as_staged(core)
+    core.run()
     writer.close()
     return buffer.getvalue()
 
@@ -94,28 +97,21 @@ def test_trace_byte_identical_across_runs(name, spec):
 
 
 @pytest.mark.parametrize("name,spec", _CASES)
-def test_trace_matches_golden_with_block_engine_off(name, spec):
-    """The per-instruction path (block engine off) writes the same
-    golden bytes the default block-at-a-time path does."""
-    path = _golden_path(name, spec)
-    with open(path) as handle:
-        golden = handle.read()
-    assert _render_trace(name, spec, block_engine=False) == golden
-    assert _render_trace(name, spec, block_engine=True) == golden
+def test_trace_matches_golden_with_staged_engine(name, spec):
+    """The staged reference engine writes the same golden bytes the
+    default fused loop does."""
+    with open(_golden_path(name, spec)) as handle:
+        assert _render_trace(name, spec, staged=True) == handle.read()
 
 
-def _gzip_verbose_digest(block_engine=None):
+def _gzip_verbose_digest(staged=False):
     buffer = io.StringIO()
     bus = EventBus()
     writer = bus.attach(JsonlTraceWriter(buffer), verbose=True)
-    build_core(
-        "gzip",
-        "control-equivalent",
-        _SCALE,
-        PAPER_CONFIG,
-        bus=bus,
-        block_engine=block_engine,
-    ).run()
+    core = build_core("gzip", "control-equivalent", _SCALE, PAPER_CONFIG, bus=bus)
+    if staged:
+        as_staged(core)
+    core.run()
     writer.close()
     return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
 
@@ -123,10 +119,9 @@ def _gzip_verbose_digest(block_engine=None):
 def test_gzip_verbose_stream_pinned_across_kernel_rewrites():
     """The verbose event stream is byte-identical to the pre-predecode
     simulator's (see :data:`_GZIP_VERBOSE_SHA256`) — under the default
-    engine and explicitly under both block-engine settings."""
+    fused loop and under the staged reference engine."""
     assert _gzip_verbose_digest() == _GZIP_VERBOSE_SHA256
-    assert _gzip_verbose_digest(block_engine=False) == _GZIP_VERBOSE_SHA256
-    assert _gzip_verbose_digest(block_engine=True) == _GZIP_VERBOSE_SHA256
+    assert _gzip_verbose_digest(staged=True) == _GZIP_VERBOSE_SHA256
 
 
 def test_traces_byte_identical_under_parallel_jobs(tmp_path, request):

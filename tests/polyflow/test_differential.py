@@ -18,6 +18,8 @@ import io
 
 import pytest
 
+from tests.helpers import StagedReferenceCore
+
 from repro.experiments.runner import REC_PRED_SPEC, build_core, spawn_profile
 from repro.isa import assemble
 from repro.obs import EventBus, JsonlTraceWriter
@@ -115,20 +117,7 @@ def test_policies_commit_identical_streams(name):
 # -- engine equivalence ---------------------------------------------------------
 
 
-class _StagedReferenceCore(PolyFlowCore):
-    """Forces the staged reference engine.
-
-    Overriding any stage hook — here with a pass-through — makes
-    ``_stage_hooks_overridden`` pick ``_run_staged``, without changing
-    behaviour.  Comparing this against a plain ``PolyFlowCore`` (which
-    takes the fused fast loop) pins the two engines to each other.
-    """
-
-    def _fetch(self):
-        PolyFlowCore._fetch(self)
-
-
-def _verbose_stream(name, spec, core_cls, block_engine=None):
+def _verbose_stream(name, spec, core_cls):
     """The full verbose event stream of one run, as JSONL text."""
     spec = canonical_spec(spec)
     prepared = prepare_workload(name, _SCALE)
@@ -139,20 +128,12 @@ def _verbose_stream(name, spec, core_cls, block_engine=None):
     if spec == REC_PRED_SPEC:
         from repro.reconvergence import build_reconvergence_spawner
 
-        core = core_cls(
-            prepared.trace, config, HintTable(), bus=bus, block_engine=block_engine
-        )
+        core = core_cls(prepared.trace, config, HintTable(), bus=bus)
         core.spawn_unit = build_reconvergence_spawner(prepared, config)
     else:
         profile = spawn_profile(name, _SCALE, config.max_spawn_distance)
         policy = prepared.spawn_analysis.policy(spec)
-        core = core_cls(
-            prepared.trace,
-            config,
-            profile.hint_table(policy),
-            bus=bus,
-            block_engine=block_engine,
-        )
+        core = core_cls(prepared.trace, config, profile.hint_table(policy), bus=bus)
     stats = core.run()
     writer.close()
     return stats, buffer.getvalue()
@@ -167,49 +148,30 @@ def test_fast_and_staged_engines_are_equivalent(name, spec):
     the resulting squash chain, so the recovery paths are compared too.
     """
     fast_stats, fast_stream = _verbose_stream(name, spec, PolyFlowCore)
-    staged_stats, staged_stream = _verbose_stream(name, spec, _StagedReferenceCore)
+    staged_stats, staged_stream = _verbose_stream(name, spec, StagedReferenceCore)
     assert fast_stream == staged_stream
     assert fast_stats.as_dict() == staged_stats.as_dict()
 
 
-@pytest.mark.parametrize("spec", ("postdoms", "loop+procFT+loopFT", REC_PRED_SPEC))
-@pytest.mark.parametrize("name", ("gzip", "mcf", "crafty"))
-def test_block_engine_equivalent_to_per_instruction(name, spec):
-    """Block-at-a-time and per-instruction fetch paths emit
-    byte-identical verbose streams and stats.
-
-    The block engine batches straight-line superblock runs through the
-    fused loop; every observable — verbose event order included — must
-    be unchanged.  mcf again covers the violation/squash recovery path,
-    where batched positions are squashed and refetched.
-    """
-    off_stats, off_stream = _verbose_stream(
-        name, spec, PolyFlowCore, block_engine=False
-    )
-    on_stats, on_stream = _verbose_stream(name, spec, PolyFlowCore, block_engine=True)
-    assert on_stream == off_stream
-    assert on_stats.as_dict() == off_stats.as_dict()
-
-
-def test_block_engine_nonverbose_stats_equivalent():
-    """Without a verbose bus the fast loop takes its quiet-skip and
-    batched-fetch shortcuts in full; stats must still match the
-    per-instruction path exactly."""
+def test_fast_and_staged_nonverbose_stats_equivalent():
+    """Without a verbose bus the fast loop skips per-instruction event
+    construction and reads the spawn unit's resolved-target table
+    directly; stats must still match the staged reference exactly."""
     prepared = prepare_workload("vortex", _SCALE)
     profile = spawn_profile("vortex", _SCALE, PAPER_CONFIG.max_spawn_distance)
     hints = profile.hint_table(prepared.spawn_analysis.policy("postdoms"))
-    on = PolyFlowCore(prepared.trace, PAPER_CONFIG, hints, block_engine=True).run()
-    off = PolyFlowCore(prepared.trace, PAPER_CONFIG, hints, block_engine=False).run()
-    assert on.as_dict() == off.as_dict()
+    fast = PolyFlowCore(prepared.trace, PAPER_CONFIG, hints).run()
+    staged = StagedReferenceCore(prepared.trace, PAPER_CONFIG, hints).run()
+    assert fast.as_dict() == staged.as_dict()
 
 
 def test_staged_subclass_actually_runs_staged_engine():
-    """Guard the guard: the subclass above must select the staged
-    engine, and a plain core must not."""
+    """Guard the guard: the shared staged subclass must select the
+    staged engine, and a plain core must not."""
     prepared = prepare_workload("gzip", _SCALE)
     profile = spawn_profile("gzip", _SCALE, PAPER_CONFIG.max_spawn_distance)
     hints = profile.hint_table(prepared.spawn_analysis.policy("postdoms"))
-    staged = _StagedReferenceCore(prepared.trace, PAPER_CONFIG, hints)
+    staged = StagedReferenceCore(prepared.trace, PAPER_CONFIG, hints)
     fast = PolyFlowCore(prepared.trace, PAPER_CONFIG, hints)
     assert staged._stage_hooks_overridden()
     assert not fast._stage_hooks_overridden()

@@ -8,6 +8,7 @@ later lookups.
 """
 
 import os
+import pickle
 import shutil
 import tempfile
 
@@ -130,10 +131,11 @@ def test_disk_layer_round_trips_by_value(source):
         shutil.rmtree(root, ignore_errors=True)
 
 
-def test_disk_layer_carries_compiled_block_tables():
-    """Analyses persisted to disk include the compiled block table: a
-    fresh process loading the entry gets a table hit, not a recompile."""
-    from repro.sim.blocks import block_table_for, cache_counters, counters_delta
+def test_stale_format_disk_entry_is_a_miss_and_is_overwritten():
+    """An entry written under an older ``ANALYSIS_FORMAT_VERSION`` (v2
+    pickles carried the removed block tables) is recomputed and
+    replaced at the current version, never loaded."""
+    from repro.analysis import pipeline
 
     source = """
         .text
@@ -144,20 +146,20 @@ def test_disk_layer_carries_compiled_block_tables():
             bne  r1, r0, loop
             halt
     """
-    root = tempfile.mkdtemp(prefix="analysis-cache-blocks-")
+    root = tempfile.mkdtemp(prefix="analysis-cache-stale-")
     try:
-        writer = AnalysisCache(disk_root=root)
-        computed = writer.analyses_for(source)
-        assert getattr(computed.trace, "_block_table", None) is not None
+        computed = AnalysisCache(disk_root=root).analyses_for(source)
+        path = AnalysisCache(disk_root=root)._path(source_digest(source))
+        with open(path, "wb") as handle:
+            stale = pipeline.ANALYSIS_FORMAT_VERSION - 1
+            pickle.dump({"version": stale, "analyses": computed}, handle)
 
-        reader = AnalysisCache(disk_root=root)
-        reloaded = reader.analyses_for(source)
-        assert reader.disk_hits == 1
-        before = cache_counters()
-        table = block_table_for(reloaded.trace)
-        delta = counters_delta(before)
-        assert delta["table_hits"] == 1 and delta["table_misses"] == 0
-        assert table.batch_end == block_table_for(computed.trace).batch_end
+        fresh = AnalysisCache(disk_root=root)
+        recomputed = fresh.analyses_for(source)
+        assert fresh.misses == 1 and fresh.disk_hits == 0
+        assert _fingerprint(recomputed) == _fingerprint(computed)
+        with open(path, "rb") as handle:
+            assert pickle.load(handle)["version"] == pipeline.ANALYSIS_FORMAT_VERSION
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

@@ -3,20 +3,18 @@
 A rotating stratified sample of catalog programs — the rotation token
 derives from the catalog's content digest, never from wall clock, so a
 given catalog always samples the same scenarios — must produce
-byte-identical streams with the block engine on vs off (verbose) and
-the event kernel on vs off (lifecycle and verbose flavours).
+byte-identical stats and event streams from the fused fast loop and
+the staged reference engine, in both the verbose and the lifecycle
+stream flavours.
 """
-
-import io
 
 import pytest
 
-from tests.helpers import HYPOTHESIS_PROFILE
+from tests.helpers import HYPOTHESIS_PROFILE, assert_engines_agree
 
 from repro.cfg import build_program_cfgs
 from repro.isa import assemble
-from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter
-from repro.polyflow import MachineConfig, PolyFlowCore
+from repro.polyflow import MachineConfig
 from repro.sim import run_program
 from repro.spawn import SpawnAnalysis, profile_spawn_points
 from repro.workloads.synth import build_scenario, stratified_sample
@@ -43,43 +41,18 @@ def _prepare(name):
     return trace, hints
 
 
-def _run(trace, hints, block_engine, event_kernel, verbose):
-    buffer = io.StringIO()
-    bus = EventBus()
-    if verbose:
-        writer = bus.attach(JsonlTraceWriter(buffer), verbose=True)
-    else:
-        writer = bus.attach(
-            JsonlTraceWriter(buffer, kinds=LIFECYCLE_KINDS), verbose=False
-        )
-    stats = PolyFlowCore(
-        trace,
-        MachineConfig(min_spawn_distance=2),
-        hints,
-        bus=bus,
-        block_engine=block_engine,
-        event_kernel=event_kernel,
-    ).run()
-    writer.close()
-    return stats.as_dict(), buffer.getvalue()
+def _assert_fused_matches_staged(name, verbose):
+    trace, hints = _prepare(name)
+    assert_engines_agree(
+        trace, MachineConfig(min_spawn_distance=2), hints, flavours=(verbose,)
+    )
 
 
 @pytest.mark.parametrize("name", _sample_names())
-def test_block_engine_equivalent_on_catalog_sample(name):
-    trace, hints = _prepare(name)
-    off = _run(trace, hints, block_engine=False, event_kernel=False, verbose=True)
-    on = _run(trace, hints, block_engine=True, event_kernel=False, verbose=True)
-    assert on == off
+def test_fused_vs_staged_verbose_on_catalog(name):
+    _assert_fused_matches_staged(name, verbose=True)
 
 
 @pytest.mark.parametrize("name", _sample_names())
-def test_event_kernel_equivalent_on_catalog_sample(name):
-    trace, hints = _prepare(name)
-    for verbose in (False, True):
-        off = _run(
-            trace, hints, block_engine=True, event_kernel=False, verbose=verbose
-        )
-        on = _run(
-            trace, hints, block_engine=True, event_kernel=True, verbose=verbose
-        )
-        assert on == off
+def test_fused_vs_staged_lifecycle_on_catalog(name):
+    _assert_fused_matches_staged(name, verbose=False)
